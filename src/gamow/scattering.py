@@ -59,6 +59,8 @@ _NEWTON_STEP_SCALE = 1e-7
 _NEWTON_CONVERGED = 1e-12
 _DEDUP_SEPARATION = 1e-6
 _RESIDUAL_FACTOR = 1e-10
+# Seeds per batched Newton pass; bounds the working arrays for any seed grid.
+_SEED_CHUNK = 4096
 
 
 class PoleOnContourError(RuntimeError):
@@ -155,9 +157,18 @@ def _g_sinc(model: DeltaShellModel, k):
     return np.where(small, series, out)
 
 
+def _check_im_bound(model: DeltaShellModel, k: np.ndarray) -> None:
+    if np.any(np.abs(k.imag) * model.a > IM_KA_BOUND):
+        raise OverflowError(f"|Im(k a)| exceeds {IM_KA_BOUND}; e^(ika) would overflow")
+
+
 def denominator(model: DeltaShellModel, k):
-    """D(k) = e^{-ika} + (g/k) sin ka; entire once the k = 0 limit is taken."""
+    """D(k) = e^{-ika} + (g/k) sin ka; entire once the k = 0 limit is taken.
+
+    Raises OverflowError when |Im(k a)| exceeds IM_KA_BOUND.
+    """
     k = np.asarray(k, dtype=complex)
+    _check_im_bound(model, k)
     return np.exp(-1j * k * model.a) + _g_sinc(model, k)
 
 
@@ -176,8 +187,7 @@ def s_matrix(model: DeltaShellModel, k):
     karr = np.asarray(k, dtype=complex)
     if np.any(karr == 0):
         raise ValueError("S(k) is not defined at k = 0")
-    if np.any(np.abs(karr.imag) * model.a > IM_KA_BOUND):
-        raise OverflowError(f"|Im(k a)| exceeds {IM_KA_BOUND}; e^(ika) would overflow")
+    _check_im_bound(model, karr)
     gs = _g_sinc(model, karr)
     num = np.exp(1j * karr * model.a) + gs
     den = np.exp(-1j * karr * model.a) + gs
@@ -228,64 +238,108 @@ def phase_shift_curve(model: DeltaShellModel, energies) -> np.ndarray:
     return out
 
 
-def _newton_zero(model: DeltaShellModel, k0: complex):
-    """Polish one seed against D(k) with a central-difference Newton step.
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise by CPython's complex division (Smith's method).
 
-    Seeds that wander into overflow territory or fail to converge return
-    None; the caller drops them.
+    numpy divides complex arrays through a reciprocal, which can land one ulp
+    away from ``complex.__truediv__``; this formula keeps the array search on
+    the floats a scalar Newton step would produce.  ``den`` must be finite
+    and nonzero.
     """
-    k = complex(k0)
+    a, b, c, d = num.real, num.imag, den.real, den.imag
+    out = np.empty_like(num)
+    by_re = np.abs(c) >= np.abs(d)
+    by_im = ~by_re
+    ratio = d[by_re] / c[by_re]
+    scale = c[by_re] + d[by_re] * ratio
+    out.real[by_re] = (a[by_re] + b[by_re] * ratio) / scale
+    out.imag[by_re] = (b[by_re] - a[by_re] * ratio) / scale
+    ratio = c[by_im] / d[by_im]
+    scale = c[by_im] * ratio + d[by_im]
+    out.real[by_im] = (a[by_im] * ratio + b[by_im]) / scale
+    out.imag[by_im] = (b[by_im] * ratio - a[by_im]) / scale
+    return out
+
+
+def _newton_zeros(model: DeltaShellModel, seeds: np.ndarray) -> np.ndarray:
+    """Polish every seed against D(k) at once; NaN marks a seed that failed.
+
+    Each seed follows the central-difference Newton rules on its own: it
+    fails at k = 0, beyond IM_KA_BOUND, on a zero or non-finite D or D', on
+    a non-finite iterate, or after _NEWTON_MAX_STEPS, and it stops once
+    |step| < 1e-12 (1 + |k|).  Moduli use np.hypot, the step uses _quotient
+    and D' is a componentwise division by 2h, so every endpoint is the float
+    that iterating the seed alone with Python complex arithmetic gives.
+    """
+    ends = np.full(seeds.shape, complex(np.nan, np.nan))
+    idx = np.arange(seeds.size)
+    k = seeds
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_STEPS):
-            if k == 0 or abs(k.imag) * model.a > IM_KA_BOUND:
-                return None
-            h = _NEWTON_STEP_SCALE * (1.0 + abs(k))
-            f = complex(denominator(model, k))
-            df = (complex(denominator(model, k + h)) - complex(denominator(model, k - h))) / (2 * h)
-            if df == 0 or not np.isfinite(df) or not np.isfinite(f):
-                return None
-            step = f / df
+            live = (k != 0) & (np.abs(k.imag) * model.a <= IM_KA_BOUND)
+            idx, k = idx[live], k[live]
+            if not idx.size:
+                break
+            h = _NEWTON_STEP_SCALE * (1.0 + np.hypot(k.real, k.imag))
+            f = denominator(model, k)
+            diff = denominator(model, k + h) - denominator(model, k - h)
+            df = np.empty_like(diff)
+            df.real = diff.real / (2 * h)
+            df.imag = diff.imag / (2 * h)
+            live = (df != 0) & np.isfinite(df) & np.isfinite(f)
+            idx, k = idx[live], k[live]
+            step = _quotient(f[live], df[live])
             k = k - step
-            if not np.isfinite(k):
-                return None
-            if abs(step) < _NEWTON_CONVERGED * (1.0 + abs(k)):
-                return k
-    return None
+            live = np.isfinite(k)
+            done = live & (
+                np.hypot(step.real, step.imag) < _NEWTON_CONVERGED * (1.0 + np.hypot(k.real, k.imag))
+            )
+            ends[idx[done]] = k[done]
+            live &= ~done
+            idx, k = idx[live], k[live]
+    return ends
 
 
 def find_poles(model: DeltaShellModel, region: SearchRegion) -> list[ResonancePole]:
     """All resonance poles in a fourth-quadrant rectangle of the k plane.
 
-    Seeds a uniform grid over the region, polishes each seed with Newton
-    iteration on D(k), keeps converged zeros that fall inside the region
-    with |D| below 1e-10 times the local term scale, and deduplicates
-    (separation 1e-6).  Non-convergent seeds are dropped silently; an empty
-    result is valid.
+    Seeds an n_re x n_im grid over the region and polishes all seeds as one
+    array Newton iteration on D(k), _SEED_CHUNK seeds at a time.  Converged
+    zeros that fall inside the region with |D| below 1e-10 times the local
+    term scale are kept and deduplicated in row-major seed order (separation
+    1e-6, the smaller |D| wins).  Non-convergent seeds are dropped silently;
+    an empty result is valid.
     """
     if not (region.re_min >= 0 and region.im_max <= 0):
         raise ValueError("pole search region must lie in Re k >= 0, Im k <= 0")
-    res = np.linspace(region.re_min, region.re_max, region.n_re)
-    ims = np.linspace(region.im_min, region.im_max, region.n_im)
+    grid = np.empty((region.n_re, region.n_im), dtype=complex)
+    grid.real = np.linspace(region.re_min, region.re_max, region.n_re)[:, None]
+    grid.imag = np.linspace(region.im_min, region.im_max, region.n_im)[None, :]
+    seeds = grid.ravel()
+    seeds = seeds[np.hypot(seeds.real, seeds.imag) >= 1e-9]
+    ends = np.empty_like(seeds)
+    for i in range(0, seeds.size, _SEED_CHUNK):
+        ends[i:i + _SEED_CHUNK] = _newton_zeros(model, seeds[i:i + _SEED_CHUNK])
+    inside = (
+        (region.re_min < ends.real) & (ends.real < region.re_max)
+        & (region.im_min < ends.imag) & (ends.imag < region.im_max)
+        & (ends.real > 0) & (ends.imag < 0)
+    )
+    ends = ends[inside]
+    d = denominator(model, ends)
+    resid = np.hypot(d.real, d.imag)
+    zero = ~(resid > _RESIDUAL_FACTOR * _term_scale(model, ends))
     found: list[complex] = []
-    for sr in res:
-        for si in ims:
-            seed = complex(sr, si)
-            if abs(seed) < 1e-9:
-                continue
-            k = _newton_zero(model, seed)
-            if k is None or not region.contains(k):
-                continue
-            if not (k.real > 0 and k.imag < 0):
-                continue
-            if abs(denominator(model, k)) > _RESIDUAL_FACTOR * _term_scale(model, k):
-                continue
-            for i, p in enumerate(found):
-                if abs(k - p) <= _DEDUP_SEPARATION:
-                    if abs(denominator(model, k)) < abs(denominator(model, p)):
-                        found[i] = k
-                    break
-            else:
-                found.append(k)
+    found_resid: list[float] = []
+    for k, r in zip(ends[zero].tolist(), resid[zero].tolist()):
+        for i, p in enumerate(found):
+            if abs(k - p) <= _DEDUP_SEPARATION:
+                if r < found_resid[i]:
+                    found[i], found_resid[i] = k, r
+                break
+        else:
+            found.append(k)
+            found_resid.append(r)
     found.sort(key=lambda z: z.real)
     return [ResonancePole.from_momentum(k) for k in found]
 

@@ -5,9 +5,26 @@ pole positions come from a dense |D| scan with recursive grid refinement
 (no Newton), bound-state counts from sign changes of the raw matching
 condition (no bisection helper), and winding counts from a brute-force
 densely sampled contour.
+
+The one exception is ``scalar_find_poles``: the seed-by-seed Newton search
+that ``find_poles`` ran before it became one array iteration, kept verbatim
+as a bit-identity reference for the array path.
 """
 
 import numpy as np
+
+from gamow.scattering import (
+    IM_KA_BOUND,
+    ResonancePole,
+    _term_scale,
+    denominator,
+)
+
+_NEWTON_MAX_STEPS = 50
+_NEWTON_STEP_SCALE = 1e-7
+_NEWTON_CONVERGED = 1e-12
+_DEDUP_SEPARATION = 1e-6
+_RESIDUAL_FACTOR = 1e-10
 
 
 def shell_denominator(g, a, k):
@@ -99,3 +116,58 @@ def breit_wigner_sin2(e, e_r, gamma):
     """sin^2 of a pure resonance phase arctan((G/2)/(E_R - E))."""
     delta = np.arctan2(0.5 * gamma, e_r - e)
     return np.sin(delta) ** 2
+
+
+def _newton_zero(model, k0):
+    """Polish one seed against D(k) with a central-difference Newton step.
+
+    Seeds that wander into overflow territory or fail to converge return
+    None; the caller drops them.
+    """
+    k = complex(k0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_STEPS):
+            if k == 0 or abs(k.imag) * model.a > IM_KA_BOUND:
+                return None
+            h = _NEWTON_STEP_SCALE * (1.0 + abs(k))
+            f = complex(denominator(model, k))
+            df = (complex(denominator(model, k + h)) - complex(denominator(model, k - h))) / (2 * h)
+            if df == 0 or not np.isfinite(df) or not np.isfinite(f):
+                return None
+            step = f / df
+            k = k - step
+            if not np.isfinite(k):
+                return None
+            if abs(step) < _NEWTON_CONVERGED * (1.0 + abs(k)):
+                return k
+    return None
+
+
+def scalar_find_poles(model, region):
+    """find_poles as a Python loop: one scalar Newton run per seed, row-major."""
+    if not (region.re_min >= 0 and region.im_max <= 0):
+        raise ValueError("pole search region must lie in Re k >= 0, Im k <= 0")
+    res = np.linspace(region.re_min, region.re_max, region.n_re)
+    ims = np.linspace(region.im_min, region.im_max, region.n_im)
+    found: list[complex] = []
+    for sr in res:
+        for si in ims:
+            seed = complex(sr, si)
+            if abs(seed) < 1e-9:
+                continue
+            k = _newton_zero(model, seed)
+            if k is None or not region.contains(k):
+                continue
+            if not (k.real > 0 and k.imag < 0):
+                continue
+            if abs(denominator(model, k)) > _RESIDUAL_FACTOR * _term_scale(model, k):
+                continue
+            for i, p in enumerate(found):
+                if abs(k - p) <= _DEDUP_SEPARATION:
+                    if abs(denominator(model, k)) < abs(denominator(model, p)):
+                        found[i] = k
+                    break
+            else:
+                found.append(k)
+    found.sort(key=lambda z: z.real)
+    return [ResonancePole.from_momentum(k) for k in found]

@@ -1,6 +1,10 @@
 """CLI contract: parsing, dispatch, formats, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +13,7 @@ import pytest
 from gamow.cli import parse_args, run
 
 BASE = [sys.executable, "-m", "gamow"]
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
 
 
 def invoke(*args):
@@ -200,3 +205,15 @@ class TestDeterminism:
         survivals = [float(r.split(",")[3]) for r in rows]
         assert survivals[0] == 1.0
         assert all(x >= y for x, y in zip(survivals, survivals[1:]))
+
+
+class TestGoldenOutput:
+    """The README invocations print byte-for-byte what they printed at the fixture's commit."""
+
+    @pytest.mark.parametrize("case", GOLDEN["invocations"], ids=lambda case: case["argv"][0])
+    def test_readme_invocation_matches_golden_hash(self, case):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(parse_args(case["argv"]))
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == case["sha256"]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from gamow import scattering
 from gamow.scattering import (
+    IM_KA_BOUND,
     DeltaShellModel,
     PoleOnContourError,
     ResonanceFitError,
@@ -25,6 +27,7 @@ from oracles import (
     breit_wigner_sin2,
     brute_winding,
     dense_scan_zeros,
+    scalar_find_poles,
     shell_denominator,
 )
 
@@ -61,6 +64,15 @@ class TestSMatrix:
     def test_overflow_guarded(self):
         with pytest.raises(OverflowError):
             s_matrix(STRONG, 1.0 - 800.0j)
+
+    def test_denominator_overflow_guarded(self):
+        model = DeltaShellModel(g=5.0, a=1.0)
+        edge = 1.0 - 1j * IM_KA_BOUND / model.a
+        assert np.isfinite(denominator(model, [edge]))[0]
+        with pytest.raises(OverflowError, match="would overflow"):
+            denominator(model, [edge - 1e-9j])
+        with pytest.raises(OverflowError, match="would overflow"):
+            denominator(model, [1.0 - 800.0j])
 
     def test_matches_direct_formula(self):
         # denominator() must agree with the literal expression away from k=0
@@ -117,6 +129,37 @@ class TestFindPoles:
             z = complex(pole.e_r, -0.5 * pole.gamma)
             assert abs(pole.k_pole**2 - z) <= 1e-10 * abs(z)
             assert pole.gamma > 0
+
+
+KGRID_STRIP = SearchRegion(0.0, 30.0, -0.06, -1e-14, n_re=96, n_im=12)
+IDENTITY_CASES = {
+    "readme": (STRONG, ACCEPT_REGION),
+    "cli_2_4_16x8": (STRONG, SearchRegion(2.0, 4.0, -0.5, -1e-9, n_re=16, n_im=8)),
+    "cli_2_4_12x6": (STRONG, SearchRegion(2.0, 4.0, -0.5, -1e-9, n_re=12, n_im=6)),
+    "cli_2_7_16x8": (STRONG, SearchRegion(2.0, 7.0, -0.5, -1e-9, n_re=16, n_im=8)),
+    "kgrid_strong": (STRONG, KGRID_STRIP),
+    "kgrid_attractive": (DeltaShellModel(g=-5.0, a=1.0), KGRID_STRIP),
+    "kgrid_weak": (DeltaShellModel(g=2.0, a=1.5), KGRID_STRIP),
+    "im_ka_700": (DeltaShellModel(g=5.0, a=2.0), SearchRegion(0.0, 10.0, -350.0, 0.0, n_re=12, n_im=8)),
+}
+
+
+class TestFindPolesBitIdentity:
+    """The array Newton search lands on the scalar loop's floats exactly."""
+
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_matches_scalar_search(self, case):
+        model, region = IDENTITY_CASES[case]
+        got = [p.k_pole for p in find_poles(model, region)]
+        want = [p.k_pole for p in scalar_find_poles(model, region)]
+        assert got == want
+
+    def test_seed_grid_larger_than_one_chunk(self, monkeypatch):
+        # 48 x 24 seeds in chunks of 100: twelve chunks, the last one partial
+        monkeypatch.setattr(scattering, "_SEED_CHUNK", 100)
+        got = [p.k_pole for p in find_poles(STRONG, ACCEPT_REGION)]
+        assert len(got) == 3
+        assert got == [p.k_pole for p in scalar_find_poles(STRONG, ACCEPT_REGION)]
 
 
 class TestPoleCount:

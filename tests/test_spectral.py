@@ -16,6 +16,7 @@ from gamow.spectral import (
     reconstruct_error,
     windowed_resonance_samples,
 )
+from gamow.spectral import _adaptive_k_grid
 
 R_MAX, N_R = 10.0, 4001
 ATTRACTIVE = DeltaShellModel(g=-5.0, a=1.0)
@@ -66,6 +67,15 @@ class TestDecomposition:
         row = strong_decomp.continuum[strong_decomp.k.size // 2]
         outside = strong_decomp.r > 2.0
         assert np.max(np.abs(row[outside])) == pytest.approx(1.0, abs=1e-3)
+
+    def test_tiny_k_max_gives_uniform_grid(self):
+        # 4 k_max / n_k <= 1e-14 leaves no strip below the axis to search
+        grid = _adaptive_k_grid(STRONG, 1e-12, 1000)
+        assert np.array_equal(grid, np.linspace(1e-15, 1e-12, 1000))
+
+    def test_thin_search_strip_gives_uniform_grid(self):
+        grid = _adaptive_k_grid(STRONG, 1e-11, 1000)
+        assert np.array_equal(grid, np.linspace(1e-14, 1e-11, 1000))
 
     def test_even_n_r_rejected(self):
         with pytest.raises(ValueError):
