@@ -12,12 +12,10 @@ from gamow import (
     GamowState,
     HalfDomainError,
     Kind,
+    Law,
     ResonancePole,
+    amplitude,
     evolution_series,
-    evolve_decaying_r0,
-    evolve_decaying_r1,
-    evolve_growing_r0,
-    evolve_growing_r1,
     semigroup_compose_check,
     time_reverse,
 )
@@ -28,21 +26,21 @@ print(f"pole: Z = {pole.e_r} - {pole.gamma / 2}i, half-life ln2/Gamma = "
 
 print("\nsurvival |amplitude|^2 along each law's own half-line:")
 times = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]) * np.log(2) / pole.gamma
-decaying = [abs(evolve_decaying_r0(pole, t)) ** 2 for t in times]
-growing = [abs(evolve_growing_r0(pole, -t)) ** 2 for t in times]
+decaying = np.abs(amplitude(Law.DECAYING_R0, pole, times)) ** 2
+growing = np.abs(amplitude(Law.GROWING_R0, pole, -times)) ** 2
 print("  t / t_half:      ", "  ".join(f"{t / (np.log(2) / pole.gamma):7.2f}" for t in times))
 print("  decaying r=0 (t):", "  ".join(f"{s:7.4f}" for s in decaying))
 print("  growing  r=0 (-t):", " ".join(f"{s:7.4f}" for s in growing))
 
 print("\nhalf-domain enforcement (each law rejects the other half-line):")
-for name, func, bad_t in (
-    ("decaying r=0", evolve_decaying_r0, -1.0),
-    ("growing  r=0", evolve_growing_r0, +0.5),
-    ("decaying r=1", evolve_decaying_r1, -2.0),
-    ("growing  r=1", evolve_growing_r1, +1e-9),
+for name, law, bad_t in (
+    ("decaying r=0", Law.DECAYING_R0, -1.0),
+    ("growing  r=0", Law.GROWING_R0, +0.5),
+    ("decaying r=1", Law.DECAYING_R1, -2.0),
+    ("growing  r=1", Law.GROWING_R1, +1e-9),
 ):
     try:
-        func(pole, bad_t)
+        amplitude(law, pole, bad_t)
     except HalfDomainError as exc:
         print(f"  {name} at t = {bad_t:+} -> {exc}")
 
@@ -52,8 +50,10 @@ print("  decaying r=0, t1 = 3.7, t2 = 9.1:",
 
 print("\nmirror identities between the regimes (should be ~1e-16):")
 t = 7.3
-print(f"  |d1(t) - g0(-t)| = {abs(evolve_decaying_r1(pole, t) - evolve_growing_r0(pole, -t)):.2e}")
-print(f"  |g1(-t) - d0(t)| = {abs(evolve_growing_r1(pole, -t) - evolve_decaying_r0(pole, t)):.2e}")
+d1, g0 = amplitude(Law.DECAYING_R1, pole, t), amplitude(Law.GROWING_R0, pole, -t)
+g1, d0 = amplitude(Law.GROWING_R1, pole, -t), amplitude(Law.DECAYING_R0, pole, t)
+print(f"  |d1(t) - g0(-t)| = {abs(d1 - g0):.2e}")
+print(f"  |g1(-t) - d0(t)| = {abs(g1 - d0):.2e}")
 
 print("\ntime reversal maps labels (pole data untouched):")
 state = GamowState(pole, Kind.GROWING, regime=0)

@@ -10,7 +10,8 @@ continues analytically in closed form:
   (Newton + argument principle), bound states and Breit-Wigner fits;
 * ``dynamics``: the four half-domain semigroup evolution laws of growing
   and decaying Gamow amplitudes, in the laboratory (r=0) and time-reversed
-  (r=1) regimes, plus the regime-swapping map;
+  (r=1) regimes, as one array function ``amplitude(law, pole, t)``, with
+  sampled series as records and the regime-swapping map;
 * ``spectral``: wavepacket reconstruction from the bound + continuum
   eigenfunction expansion, and a Paley-Wiener membership test for Hardy
   classes of the upper/lower energy half-plane.
@@ -19,18 +20,13 @@ Units: hbar = 2m = 1, so E = k^2.
 """
 
 from .dynamics import (
-    EvolutionSample,
     GamowState,
     HalfDomainError,
     Kind,
     Law,
     SpaceLabel,
+    amplitude,
     evolution_series,
-    evolve,
-    evolve_decaying_r0,
-    evolve_decaying_r1,
-    evolve_growing_r0,
-    evolve_growing_r1,
     semigroup_compose_check,
     time_reverse,
 )

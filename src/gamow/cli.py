@@ -148,6 +148,16 @@ def _emit(config: RunConfig, text_lines, json_obj, csv_rows, csv_header):
         sys.stdout.write(body)
 
 
+def _table(header, rows) -> list[str]:
+    """Text table lines: every cell right-aligned in a 16-character column."""
+    return ["  ".join(f"{cell:>16s}" for cell in line) for line in [header, *rows]]
+
+
+def _records(header, rows) -> list[dict]:
+    """JSON records keyed by header; cells are _fmt strings, so float() rounds to 12 digits."""
+    return [{key: float(cell) for key, cell in zip(header, row)} for row in rows]
+
+
 def _matrix_lines(name: str, op: reps.SymmetryOperator) -> list[str]:
     kind = "antilinear" if op.antilinear else "linear"
     lines = [f"{name} ({kind}):"]
@@ -201,31 +211,15 @@ def _run_poles(config: RunConfig) -> None:
     )
     poles = scattering.find_poles(model, region)
     header = ["re_k", "im_k", "e_r", "gamma", "abs_denominator"]
-    rows = []
-    for pole in poles:
-        resid = abs(complex(scattering.denominator(model, pole.k_pole)))
-        rows.append([
-            _fmt(pole.k_pole.real), _fmt(pole.k_pole.imag),
-            _fmt(pole.e_r), _fmt(pole.gamma), _fmt(resid),
-        ])
+    rows = [
+        [_fmt(x) for x in (pole.k_pole.real, pole.k_pole.imag, pole.e_r, pole.gamma,
+                           abs(complex(scattering.denominator(model, pole.k_pole))))]
+        for pole in poles
+    ]
     text = [f"{len(poles)} pole(s) in Re k in [{_fmt(region.re_min)}, {_fmt(region.re_max)}], "
             f"Im k in [{_fmt(region.im_min)}, {_fmt(region.im_max)}]"]
-    text.append("  ".join(f"{h:>16s}" for h in header))
-    for row in rows:
-        text.append("  ".join(f"{v:>16s}" for v in row))
-    json_obj = {
-        "g": _round12(model.g), "a": _round12(model.a),
-        "poles": [
-            {
-                "re_k": _round12(pole.k_pole.real),
-                "im_k": _round12(pole.k_pole.imag),
-                "e_r": _round12(pole.e_r),
-                "gamma": _round12(pole.gamma),
-                "abs_denominator": _round12(abs(complex(scattering.denominator(model, pole.k_pole)))),
-            }
-            for pole in poles
-        ],
-    }
+    text += _table(header, rows)
+    json_obj = {"g": _round12(model.g), "a": _round12(model.a), "poles": _records(header, rows)}
     _emit(config, text, json_obj, rows, header)
 
 
@@ -241,16 +235,8 @@ def _run_phase(config: RunConfig) -> None:
     s2 = np.sin(delta) ** 2
     header = ["E", "delta", "sin2delta"]
     rows = [[_fmt(e), _fmt(d), _fmt(s)] for e, d, s in zip(energies, delta, s2)]
-    text = ["  ".join(f"{h:>16s}" for h in header)]
-    text += ["  ".join(f"{v:>16s}" for v in row) for row in rows]
-    json_obj = {
-        "g": _round12(model.g), "a": _round12(model.a),
-        "samples": [
-            {"E": _round12(e), "delta": _round12(d), "sin2delta": _round12(s)}
-            for e, d, s in zip(energies, delta, s2)
-        ],
-    }
-    _emit(config, text, json_obj, rows, header)
+    json_obj = {"g": _round12(model.g), "a": _round12(model.a), "samples": _records(header, rows)}
+    _emit(config, _table(header, rows), json_obj, rows, header)
 
 
 def _run_evolve(config: RunConfig) -> None:
@@ -264,23 +250,14 @@ def _run_evolve(config: RunConfig) -> None:
     samples = dynamics.evolution_series(state, times)
     header = ["t", "re_amp", "im_amp", "survival"]
     rows = [
-        [_fmt(s.t), _fmt(s.amplitude.real), _fmt(s.amplitude.imag), _fmt(s.survival)]
-        for s in samples
+        [_fmt(t), _fmt(amp.real), _fmt(amp.imag), _fmt(survival)]
+        for t, amp, survival in samples.tolist()
     ]
     text = [f"law {law.code} ({law.kind.value}, r={law.regime}), domain {law.time_domain}"]
-    text.append("  ".join(f"{h:>16s}" for h in header))
-    text += ["  ".join(f"{v:>16s}" for v in row) for row in rows]
+    text += _table(header, rows)
     json_obj = {
         "er": _round12(p["er"]), "gamma": _round12(p["gamma"]), "law": law.code,
-        "samples": [
-            {
-                "t": _round12(s.t),
-                "re_amp": _round12(s.amplitude.real),
-                "im_amp": _round12(s.amplitude.imag),
-                "survival": _round12(s.survival),
-            }
-            for s in samples
-        ],
+        "samples": _records(header, rows),
     }
     _emit(config, text, json_obj, rows, header)
 

@@ -184,21 +184,22 @@ def _adaptive_k_grid(model: DeltaShellModel, k_max: float, n_k: int) -> np.ndarr
     A resonance counts as narrow when its |Im k_pole| is below four uniform
     spacings; each narrow pole gets a window of +-40 |Im k_pole| sharing half
     the node budget (split in proportion to 1/width).  With no narrow poles the
-    grid is plain uniform on (0, k_max]; so it is when the spacing is so fine
+    grid is plain uniform on (0, k_max]; so it is, without a pole search, when
+    n_k < 64 leaves no budget for windows or the spacing is so fine
     (4 k_max / n_k <= 1e-14) that the search strip below the real axis is
     empty.
     """
     k_lo = k_max / n_k
     uniform_dk = k_max / n_k
     narrow_cut = 4.0 * uniform_dk
-    if narrow_cut <= 1e-14:
+    if n_k < 64 or narrow_cut <= 1e-14:
         return np.linspace(k_lo, k_max, n_k)
     poles = find_poles(
         model,
         SearchRegion(0.0, k_max, -narrow_cut, -1e-14, n_re=96, n_im=12),
     )
     narrow = [p for p in poles if abs(p.k_pole.imag) < narrow_cut]
-    if not narrow or n_k < 64:
+    if not narrow:
         return np.linspace(k_lo, k_max, n_k)
 
     windows = []

@@ -6,13 +6,18 @@ pole positions come from a dense |D| scan with recursive grid refinement
 condition (no bisection helper), and winding counts from a brute-force
 densely sampled contour.
 
-The one exception is ``scalar_find_poles``: the seed-by-seed Newton search
-that ``find_poles`` ran before it became one array iteration, kept verbatim
-as a bit-identity reference for the array path.
+Two exceptions are bit-identity references for array paths, kept verbatim
+from the scalar code they replaced: ``scalar_find_poles``, the seed-by-seed
+Newton search that ``find_poles`` ran before it became one array iteration,
+and ``scalar_amplitude``, the one-time ``cmath`` evaluation of a semigroup
+law that ``dynamics.amplitude`` replaced.
 """
+
+import cmath
 
 import numpy as np
 
+from gamow.dynamics import Kind, Law
 from gamow.scattering import (
     IM_KA_BOUND,
     ResonancePole,
@@ -171,3 +176,10 @@ def scalar_find_poles(model, region):
                 found.append(k)
     found.sort(key=lambda z: z.real)
     return [ResonancePole.from_momentum(k) for k in found]
+
+
+def scalar_amplitude(law: Law, pole: ResonancePole, t: float) -> complex:
+    """One law's amplitude at one time via cmath (no half-domain check)."""
+    phase = -pole.e_r if law.regime == 0 else pole.e_r
+    rate = 0.5 * pole.gamma if law.kind is Kind.GROWING else -0.5 * pole.gamma
+    return cmath.exp(complex(rate, phase) * t)

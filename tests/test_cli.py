@@ -207,13 +207,27 @@ class TestDeterminism:
         assert all(x >= y for x, y in zip(survivals, survivals[1:]))
 
 
+def _stdout_sha256(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(parse_args(argv))
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def _format_case_id(case):
+    argv = case["argv"]
+    law = [argv[argv.index("--law") + 1]] if "--law" in argv else []
+    return "-".join([argv[0], *law, argv[-1]])
+
+
 class TestGoldenOutput:
-    """The README invocations print byte-for-byte what they printed at the fixture's commit."""
+    """CLI invocations print byte-for-byte what they printed at the fixture's commit."""
 
     @pytest.mark.parametrize("case", GOLDEN["invocations"], ids=lambda case: case["argv"][0])
     def test_readme_invocation_matches_golden_hash(self, case):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = run(parse_args(case["argv"]))
-        assert code == 0
-        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == case["sha256"]
+        assert _stdout_sha256(case["argv"]) == case["sha256"]
+
+    @pytest.mark.parametrize("case", GOLDEN["formats"]["invocations"], ids=_format_case_id)
+    def test_every_format_matches_golden_hash(self, case):
+        assert _stdout_sha256(case["argv"]) == case["sha256"]

@@ -16,6 +16,7 @@ from gamow.spectral import (
     reconstruct_error,
     windowed_resonance_samples,
 )
+from gamow import spectral
 from gamow.spectral import _adaptive_k_grid
 
 R_MAX, N_R = 10.0, 4001
@@ -76,6 +77,13 @@ class TestDecomposition:
     def test_thin_search_strip_gives_uniform_grid(self):
         grid = _adaptive_k_grid(STRONG, 1e-11, 1000)
         assert np.array_equal(grid, np.linspace(1e-14, 1e-11, 1000))
+
+    def test_small_n_k_skips_pole_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "find_poles", lambda *args: calls.append(args) or [])
+        grid = _adaptive_k_grid(STRONG, 30.0, 32)
+        assert calls == []
+        assert np.array_equal(grid, np.linspace(30.0 / 32, 30.0, 32))
 
     def test_even_n_r_rejected(self):
         with pytest.raises(ValueError):
