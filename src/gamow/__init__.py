@@ -57,7 +57,6 @@ from .scattering import (
     phase_shift_curve,
     pole_count,
     s_matrix,
-    winding_number,
 )
 from .spectral import (
     HardyReport,

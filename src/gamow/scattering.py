@@ -44,7 +44,6 @@ __all__ = [
     "phase_shift_curve",
     "find_poles",
     "pole_count",
-    "winding_number",
     "bound_states",
     "breit_wigner_fit",
     "fit_breit_wigner_curve",
@@ -181,6 +180,10 @@ def _term_scale(model: DeltaShellModel, k):
 def s_matrix(model: DeltaShellModel, k):
     """Analytically continued S(k); accepts scalars or arrays of complex k.
 
+    The product e^{-2ika} * num is formed componentwise, so each element of
+    an array result is the float that the same k alone gives (numpy's array
+    complex product can differ from the scalar one in the last bit).
+
     Raises ValueError at k = 0 and OverflowError when |Im(k a)| exceeds
     IM_KA_BOUND (where e^{+-ika} would overflow float64).
     """
@@ -191,50 +194,41 @@ def s_matrix(model: DeltaShellModel, k):
     gs = _g_sinc(model, karr)
     num = np.exp(1j * karr * model.a) + gs
     den = np.exp(-1j * karr * model.a) + gs
-    out = np.exp(-2j * karr * model.a) * num / den
+    turn = np.exp(-2j * karr * model.a)
+    out = np.empty(karr.shape, dtype=complex)
+    out.real = turn.real * num.real - turn.imag * num.imag
+    out.imag = turn.real * num.imag + turn.imag * num.real
+    out = out / den
     return complex(out) if out.ndim == 0 else out
 
 
 def phase_shift(model: DeltaShellModel, e: float) -> float:
     """Principal-branch phase shift delta(E) in (-pi/2, pi/2], S = e^{2i delta}.
 
-    Defined for E > 0 only.  Use phase_shift_curve for a branch-continuous
-    sweep across resonances.
+    The one-point case of phase_shift_curve; defined for finite E > 0 only.
     """
-    if not (e > 0):
-        raise ValueError(f"phase shift requires E > 0, got {e}")
-    return 0.5 * cmath.phase(s_matrix(model, complex(np.sqrt(e))))
+    return float(phase_shift_curve(model, [e])[0])
 
 
 def phase_shift_curve(model: DeltaShellModel, energies) -> np.ndarray:
-    """delta(E) on a grid of positive energies, unwrapped to be continuous.
+    """delta(E) on a grid of finite positive energies, unwrapped to be continuous.
 
-    Branch tracking walks the grid choosing the nearest multiple of pi; when
-    an adjacent jump would reach pi/2 the interval is bisected (recursively,
-    up to 48 levels) so narrow resonances cannot slip a branch unnoticed.
+    One s_matrix call on sqrt(E) gives the principal branch 0.5 arg S at every
+    point; each step then moves to the multiple of pi nearest the previous
+    value (a cumulative sum of rounded jumps).  Precondition: adjacent samples
+    must be closer together than the narrowest resonance they cross.  A
+    coarser grid can step over a resonance's rise by pi and silently lose it.
     """
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or e.size < 1:
         raise ValueError("energies must be a 1-d array")
-    if np.any(e <= 0):
-        raise ValueError("phase shift requires E > 0")
-
-    def principal(x: float) -> float:
-        return 0.5 * cmath.phase(s_matrix(model, complex(np.sqrt(x))))
-
-    def continue_branch(e0, d0, e1, depth=0):
-        raw = principal(e1)
-        cand = raw + np.pi * np.round((d0 - raw) / np.pi)
-        if abs(cand - d0) < np.pi / 2 - 1e-9 or depth >= 48:
-            return cand
-        mid = 0.5 * (e0 + e1)
-        dmid = continue_branch(e0, d0, mid, depth + 1)
-        return continue_branch(mid, dmid, e1, depth + 1)
-
-    out = np.empty_like(e)
-    out[0] = principal(e[0])
-    for i in range(1, e.size):
-        out[i] = continue_branch(e[i - 1], out[i - 1], e[i])
+    ok = np.isfinite(e) & (e > 0)
+    if not np.all(ok):
+        raise ValueError(f"phase shift requires finite E > 0, got E = {e[~ok][0]}")
+    s = s_matrix(model, np.sqrt(e))
+    raw = 0.5 * np.fromiter(map(cmath.phase, s.tolist()), dtype=float, count=e.size)
+    out = raw.copy()
+    out[1:] += np.pi * np.cumsum(np.round((raw[:-1] - raw[1:]) / np.pi))
     return out
 
 
@@ -344,41 +338,21 @@ def find_poles(model: DeltaShellModel, region: SearchRegion) -> list[ResonancePo
     return [ResonancePole.from_momentum(k) for k in found]
 
 
-def winding_number(values: np.ndarray) -> float:
-    """Total phase increment of a closed sampled path, in turns.
-
-    The path must be closed (first and last samples equal) and must not pass
-    through zero.  Adjacent samples should subtend less than half a turn for
-    the count to be meaningful; pole_count refines until that holds.
-    """
-    v = np.asarray(values, dtype=complex)
-    if v[0] != v[-1]:
-        raise ValueError("path is not closed")
-    inc = np.angle(v[1:] / v[:-1])
-    return float(np.sum(inc) / (2 * np.pi))
-
-
 def _rectangle_path(region: SearchRegion, n_per_side: int) -> np.ndarray:
     c0, c1, c2, c3 = region.corners
     seg = lambda p, q: p + (q - p) * np.linspace(0.0, 1.0, n_per_side, endpoint=False)
     return np.concatenate([seg(c0, c1), seg(c1, c2), seg(c2, c3), seg(c3, c0), [c0]])
 
 
-def pole_count(
-    model: DeltaShellModel,
-    region: SearchRegion,
-    n_per_side: int = 512,
-    loops: int = 1,
-) -> int:
+def pole_count(model: DeltaShellModel, region: SearchRegion, n_per_side: int = 512) -> int:
     """Number of zeros of D inside a rectangle, by the argument principle.
 
-    Walks the rectangle boundary counterclockwise ``loops`` times and counts
-    the winding of D around zero.  Sampling is doubled until no phase step
-    reaches pi/2 (up to 2^21 points per side).  Raises PoleOnContourError if
-    |D| on the contour falls below 1e-10 of the local term scale.
+    Walks the rectangle boundary counterclockwise once and sums the phase
+    steps of D into a winding number.  Sampling is doubled until no phase
+    step reaches pi/2 (up to 2^21 points per side).  Raises
+    PoleOnContourError if |D| on the contour falls below 1e-10 of the local
+    term scale, or if the winding is not close to an integer.
     """
-    if loops < 1:
-        raise ValueError("loops must be >= 1")
     if max(abs(region.im_min), abs(region.im_max)) * model.a > IM_KA_BOUND:
         raise OverflowError(f"contour reaches |Im(k a)| > {IM_KA_BOUND}")
     n = n_per_side
@@ -388,15 +362,13 @@ def pole_count(
         scale = _term_scale(model, path)
         if np.any(np.abs(vals) < _RESIDUAL_FACTOR * scale):
             raise PoleOnContourError("contour touches a pole of S (zero of D)")
-        steps = np.abs(np.angle(vals[1:] / vals[:-1]))
-        if np.max(steps) < np.pi / 2:
+        steps = np.angle(vals[1:] / vals[:-1])
+        if np.max(np.abs(steps)) < np.pi / 2:
             break
         if n >= 2**21:
             raise PoleOnContourError("contour winding did not resolve; a zero may sit on the boundary")
         n *= 2
-    if loops > 1:
-        vals = np.concatenate([vals[:-1]] * loops + [vals[:1]])
-    w = winding_number(vals)
+    w = float(np.sum(steps) / (2 * np.pi))
     count = int(np.round(w))
     if abs(w - count) > 0.25:
         raise PoleOnContourError(f"winding number {w:.3f} is not close to an integer")

@@ -6,11 +6,14 @@ pole positions come from a dense |D| scan with recursive grid refinement
 condition (no bisection helper), and winding counts from a brute-force
 densely sampled contour.
 
-Two exceptions are bit-identity references for array paths, kept verbatim
+Three exceptions are bit-identity references for array paths, kept verbatim
 from the scalar code they replaced: ``scalar_find_poles``, the seed-by-seed
-Newton search that ``find_poles`` ran before it became one array iteration,
-and ``scalar_amplitude``, the one-time ``cmath`` evaluation of a semigroup
-law that ``dynamics.amplitude`` replaced.
+Newton search that ``find_poles`` ran before it became one array iteration;
+``scalar_amplitude``, the one-time ``cmath`` evaluation of a semigroup law
+that ``dynamics.amplitude`` replaced; and ``scalar_phase_shift_curve``, the
+point-by-point branch walk (with its interval bisection) that
+``phase_shift_curve`` ran before it became one ``s_matrix`` call and a
+cumulative sum of rounded jumps.
 """
 
 import cmath
@@ -23,6 +26,7 @@ from gamow.scattering import (
     ResonancePole,
     _term_scale,
     denominator,
+    s_matrix,
 )
 
 _NEWTON_MAX_STEPS = 50
@@ -183,3 +187,34 @@ def scalar_amplitude(law: Law, pole: ResonancePole, t: float) -> complex:
     phase = -pole.e_r if law.regime == 0 else pole.e_r
     rate = 0.5 * pole.gamma if law.kind is Kind.GROWING else -0.5 * pole.gamma
     return cmath.exp(complex(rate, phase) * t)
+
+
+def scalar_phase_shift_curve(model, energies):
+    """phase_shift_curve as a Python walk: one scalar S(k) per energy.
+
+    Each point takes the branch nearest the previous value; an interval whose
+    jump would reach pi/2 is bisected, recursively up to 48 levels.
+    """
+    e = np.asarray(energies, dtype=float)
+    if e.ndim != 1 or e.size < 1:
+        raise ValueError("energies must be a 1-d array")
+    if np.any(e <= 0):
+        raise ValueError("phase shift requires E > 0")
+
+    def principal(x: float) -> float:
+        return 0.5 * cmath.phase(s_matrix(model, complex(np.sqrt(x))))
+
+    def continue_branch(e0, d0, e1, depth=0):
+        raw = principal(e1)
+        cand = raw + np.pi * np.round((d0 - raw) / np.pi)
+        if abs(cand - d0) < np.pi / 2 - 1e-9 or depth >= 48:
+            return cand
+        mid = 0.5 * (e0 + e1)
+        dmid = continue_branch(e0, d0, mid, depth + 1)
+        return continue_branch(mid, dmid, e1, depth + 1)
+
+    out = np.empty_like(e)
+    out[0] = principal(e[0])
+    for i in range(1, e.size):
+        out[i] = continue_branch(e[i - 1], out[i - 1], e[i])
+    return out

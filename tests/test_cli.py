@@ -221,6 +221,13 @@ def _format_case_id(case):
     return "-".join([argv[0], *law, argv[-1]])
 
 
+def _sweep_case_id(case):
+    argv = case["argv"]
+    g = next(arg.split("=")[1] if "=" in arg else argv[i + 1]
+             for i, arg in enumerate(argv) if arg.startswith("--g"))
+    return f"g{g}-{argv[-1]}"
+
+
 class TestGoldenOutput:
     """CLI invocations print byte-for-byte what they printed at the fixture's commit."""
 
@@ -230,4 +237,8 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("case", GOLDEN["formats"]["invocations"], ids=_format_case_id)
     def test_every_format_matches_golden_hash(self, case):
+        assert _stdout_sha256(case["argv"]) == case["sha256"]
+
+    @pytest.mark.parametrize("case", GOLDEN["sweeps"]["invocations"], ids=_sweep_case_id)
+    def test_wide_phase_sweep_matches_golden_hash(self, case):
         assert _stdout_sha256(case["argv"]) == case["sha256"]

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current public API."""
+"""Every demo script runs against the current public API and prints what it
+printed at the commit its hash was captured at (the demos are deterministic)."""
 
 import contextlib
+import hashlib
 import io
 import pathlib
 import runpy
@@ -9,10 +11,19 @@ import pytest
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout, captured at 8e94c112cb442c0d2f25ad7b44f7c8d7b04f32db
+STDOUT_SHA256 = {
+    "01_inversion_representations": "6dec0dd25d490f8e219f2fb7bbd37caf1e713f6443daa5fef81798a55576d96b",
+    "02_resonance_poles": "a329ee6c1324b0ec405bcf3017cc08230cbfdaaa8315b1980ab0031796d715f1",
+    "03_semigroup_clocks": "334a0616af841730aa6abf60c726434e30660dea56d701f741366d3f3ce7c595",
+    "04_wavepacket_completeness": "b7769d974b98ebb9381ae48e05213e8f2982eb2a8b036abd5610a20d93ff9f34",
+    "05_hardy_classes": "cd6b7a157f94cb1fabbc9a18ade4cf3a1102f035e71a3bd10e31e2658911758a",
+}
+
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
-    assert out.getvalue()
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == STDOUT_SHA256[path.stem]

@@ -28,6 +28,7 @@ from oracles import (
     brute_winding,
     dense_scan_zeros,
     scalar_find_poles,
+    scalar_phase_shift_curve,
     shell_denominator,
 )
 
@@ -86,6 +87,18 @@ class TestSMatrix:
     def test_conjugate_of_pole_is_zero_of_s(self, strong_poles):
         for pole in strong_poles:
             assert abs(s_matrix(STRONG, np.conj(pole.k_pole))) <= 1e-8
+
+    @pytest.mark.parametrize("g, a", [(100.0, 1.0), (-5.0, 1.0), (2.0, 1.5), (-0.7, 0.4)])
+    def test_array_elements_equal_scalar_calls(self, g, a):
+        model = DeltaShellModel(g=g, a=a)
+        rng = np.random.default_rng(11)
+        k = np.concatenate([
+            rng.uniform(-20.0, 20.0, 2000) + 1j * rng.uniform(-5.0, 5.0, 2000),
+            rng.uniform(1e-3, 20.0, 500) + 0j,
+            rng.uniform(-1e-4, 1e-4, 500) + 1j * rng.uniform(-1e-4, 1e-4, 500),
+        ])
+        got = s_matrix(model, k)
+        assert all(x == s_matrix(model, complex(z)) for x, z in zip(got.tolist(), k.tolist()))
 
 
 class TestFindPoles:
@@ -187,11 +200,6 @@ class TestPoleCount:
         region = SearchRegion(k.real - 0.3, k.real + 0.3, k.imag - 0.3, k.imag + 0.3)
         assert pole_count(STRONG, region) == 1
 
-    def test_doubled_traversal_doubles_count(self, strong_poles):
-        k = strong_poles[1].k_pole
-        region = SearchRegion(k.real - 0.3, k.real + 0.3, k.imag - 0.3, k.imag + 0.3)
-        assert pole_count(STRONG, region, loops=2) == 2
-
     def test_contour_through_pole_detected(self, strong_poles):
         k = strong_poles[0].k_pole
         # right edge passes exactly through the pole
@@ -258,6 +266,67 @@ class TestPhaseShift:
         delta = phase_shift_curve(STRONG, energies)
         frac = np.mod(delta, np.pi)
         assert np.any(np.diff(np.sign(frac - np.pi / 2)) != 0)
+
+    @pytest.mark.parametrize("energies", [[np.nan], [np.inf], [1.0, np.nan], [1.0, np.inf]],
+                             ids=["nan", "inf", "then-nan", "then-inf"])
+    def test_non_finite_energy_rejected_before_evaluation(self, monkeypatch, energies):
+        def unreachable(model, k):
+            raise AssertionError("S(k) evaluated before the energy check")
+
+        monkeypatch.setattr(scattering, "s_matrix", unreachable)
+        with pytest.raises(ValueError, match="finite E > 0"):
+            phase_shift_curve(STRONG, energies)
+        if len(energies) == 1:
+            with pytest.raises(ValueError, match="finite E > 0"):
+                phase_shift(STRONG, energies[0])
+
+
+def _random_sweeps(seed, count):
+    """Seeded (model, energy grid) pairs over both signs of g, 1 to 1000 points."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1.0, 2.5))
+        a = float(rng.uniform(0.2, 3.0))
+        n = int(rng.choice([1, 2, 17, 400, 1000]))
+        lo = float(10 ** rng.uniform(-3.0, 1.5))
+        hi = lo + float(10 ** rng.uniform(-2.0, 2.0))
+        yield DeltaShellModel(g=g, a=a), np.linspace(lo, hi, n)
+
+
+class TestPhaseShiftArrayPath:
+    """The one-call sweep lands on the scalar branch walk's floats exactly."""
+
+    def test_random_sweeps_match_scalar_walk(self):
+        for model, energies in _random_sweeps(seed=5, count=40):
+            got = phase_shift_curve(model, energies)
+            assert got.tolist() == scalar_phase_shift_curve(model, energies).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_shortest_grids_match_scalar_walk(self, n, strong_poles):
+        pole = strong_poles[0]
+        energies = np.linspace(pole.e_r - pole.gamma, pole.e_r + pole.gamma, n)
+        got = phase_shift_curve(STRONG, energies)
+        assert got.tolist() == scalar_phase_shift_curve(STRONG, energies).tolist()
+
+    def test_single_points_match_scalar_walk(self):
+        for model, energies in _random_sweeps(seed=6, count=200):
+            e = float(energies[-1])
+            got = phase_shift(model, e)
+            assert type(got) is float
+            assert got == scalar_phase_shift_curve(model, [e])[0]
+
+    def test_one_s_matrix_call_per_sweep(self, monkeypatch):
+        calls = []
+        original = scattering.s_matrix
+
+        def counting(model, k):
+            calls.append(np.size(k))
+            return original(model, k)
+
+        monkeypatch.setattr(scattering, "s_matrix", counting)
+        delta = phase_shift_curve(STRONG, np.linspace(0.5, 40.0, 800))
+        assert calls == [800]
+        assert np.max(np.abs(np.diff(delta))) < np.pi / 2
 
 
 class TestBreitWigner:
