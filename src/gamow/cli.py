@@ -11,21 +11,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, reps, scattering, spectral
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    params: dict
-    fmt: str
-    out: str | None
+__all__ = ["parse_args", "run", "main"]
 
 
 def _fmt(x: float) -> str:
@@ -70,22 +61,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json", "csv"], default=default_format)
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
+    def add_model(p):
+        p.add_argument("--g", type=_finite, required=True)
+        p.add_argument("--a", type=_finite, required=True)
+
     p = sub.add_parser("reps", help="build one co-representation row and verify its relations")
     p.add_argument("--row", type=int, choices=[1, 2, 3, 4], required=True)
     p.add_argument("--twice-j", type=int, required=True, dest="twice_j")
     add_common(p)
 
     p = sub.add_parser("poles", help="locate resonance poles in a k-plane rectangle")
-    p.add_argument("--g", type=_finite, required=True)
-    p.add_argument("--a", type=_finite, required=True)
+    add_model(p)
     p.add_argument("--re", type=_pair, required=True, metavar="MIN,MAX")
     p.add_argument("--im", type=_pair, required=True, metavar="MIN,MAX")
     p.add_argument("--seeds", type=int, nargs=2, default=(48, 24), metavar=("NRE", "NIM"))
     add_common(p)
 
     p = sub.add_parser("phase", help="phase shift and sin^2(delta) on an energy grid")
-    p.add_argument("--g", type=_finite, required=True)
-    p.add_argument("--a", type=_finite, required=True)
+    add_model(p)
     p.add_argument("--emin", type=_finite, required=True)
     p.add_argument("--emax", type=_finite, required=True)
     p.add_argument("--n", type=int, default=200)
@@ -101,8 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, default_format="csv")
 
     p = sub.add_parser("spectral", help="wavepacket reconstruction from the eigenfunction expansion")
-    p.add_argument("--g", type=_finite, required=True)
-    p.add_argument("--a", type=_finite, required=True)
+    add_model(p)
     p.add_argument("--kmax", type=_finite, default=30.0)
     p.add_argument("--nk", type=int, default=2000)
     p.add_argument("--rmax", type=_finite, default=10.0)
@@ -122,27 +114,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse argv into a RunConfig; exits with status 2 on usage errors."""
-    ns = _build_parser().parse_args(argv)
-    params = vars(ns)
-    sub = params.pop("subcommand")
-    fmt = params.pop("format")
-    out = params.pop("out")
-    return RunConfig(subcommand=sub, params=params, fmt=fmt, out=out)
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv into a Namespace (subcommand, format, out and the subcommand's
+    options); exits with status 2 on usage errors."""
+    return _build_parser().parse_args(argv)
 
 
-def _emit(config: RunConfig, text_lines, json_obj, csv_rows, csv_header):
-    if config.fmt == "json":
+def _emit(args, text_lines, json_obj, csv_rows, csv_header):
+    if args.format == "json":
         body = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         lines = [",".join(csv_header)]
         lines += [",".join(row) for row in csv_rows]
         body = "\n".join(lines) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
@@ -158,57 +146,39 @@ def _records(header, rows) -> list[dict]:
     return [{key: float(cell) for key, cell in zip(header, row)} for row in rows]
 
 
-def _matrix_lines(name: str, op: reps.SymmetryOperator) -> list[str]:
-    kind = "antilinear" if op.antilinear else "linear"
-    lines = [f"{name} ({kind}):"]
-    for row in np.asarray(op.matrix, dtype=int):
+def _matrix_lines(name: str, matrix: np.ndarray, antilinear: bool) -> list[str]:
+    lines = [f"{name} ({'antilinear' if antilinear else 'linear'}):"]
+    for row in matrix:
         lines.append("  [" + " ".join(f"{v:2d}" for v in row) + "]")
     return lines
 
 
-def _run_reps(config: RunConfig) -> None:
-    row = reps.RepRow(config.params["row"])
-    spin = reps.SpinLabel(config.params["twice_j"])
+def _run_reps(args) -> None:
+    row = reps.RepRow(args.row)
+    spin = reps.SpinLabel(args.twice_j)
     report = reps.verify_group_relations(row, spin)
-    sigma = reps.build_sigma(row, spin)
-    r_op = reps.build_r(row, spin)
-    t_op = reps.build_t(row, spin)
-    c_op = reps.build_c_matrix(spin)
+    relations = report.as_dict()
+    operators = [("C", reps.build_c_matrix(spin)), ("Sigma", reps.build_sigma(row, spin)),
+                 ("R", reps.build_r(row, spin)), ("T", reps.build_t(row, spin))]
 
     text = [
         f"row {row.value}, twice_j = {spin.twice_j} (j = {_fmt(spin.j)})",
         f"eps_r = {report.eps_r:+d}   eps_t = {report.eps_t:+d}   "
         f"commutation_sign = {report.commutation_sign:+d}",
-        f"sigma_squared_is_identity = {report.sigma_squared_is_identity}",
-        f"r_squared_matches_eps_r   = {report.r_squared_matches_eps_r}",
-        f"t_squared_matches_eps_t   = {report.t_squared_matches_eps_t}",
-        f"t_equals_sigma_r          = {report.t_equals_sigma_r}",
-        f"sigma_r_equals_r_sigma    = {report.sigma_r_equals_r_sigma}",
     ]
-    for name, op in (("C", c_op), ("Sigma", sigma), ("R", r_op), ("T", t_op)):
-        text += _matrix_lines(name, op)
-
-    json_obj = report.as_dict()
-    json_obj.update(
-        {
-            "c": np.asarray(c_op.matrix, dtype=int).tolist(),
-            "sigma": np.asarray(sigma.matrix, dtype=int).tolist(),
-            "r": np.asarray(r_op.matrix, dtype=int).tolist(),
-            "t": np.asarray(t_op.matrix, dtype=int).tolist(),
-        }
-    )
-    header = ["relation", "value"]
-    rows = [[k, str(v)] for k, v in report.as_dict().items()]
-    _emit(config, text, json_obj, rows, header)
+    text += [f"{name:<25s} = {value}" for name, value in relations.items() if type(value) is bool]
+    json_obj = dict(relations)
+    for name, op in operators:
+        matrix = np.asarray(op.matrix, dtype=int)
+        text += _matrix_lines(name, matrix, op.antilinear)
+        json_obj[name.lower()] = matrix.tolist()
+    rows = [[name, str(value)] for name, value in relations.items()]
+    _emit(args, text, json_obj, rows, ["relation", "value"])
 
 
-def _run_poles(config: RunConfig) -> None:
-    p = config.params
-    model = scattering.DeltaShellModel(g=p["g"], a=p["a"])
-    region = scattering.SearchRegion(
-        p["re"][0], p["re"][1], p["im"][0], p["im"][1],
-        n_re=p["seeds"][0], n_im=p["seeds"][1],
-    )
+def _run_poles(args) -> None:
+    model = scattering.DeltaShellModel(g=args.g, a=args.a)
+    region = scattering.SearchRegion(*args.re, *args.im, n_re=args.seeds[0], n_im=args.seeds[1])
     poles = scattering.find_poles(model, region)
     header = ["re_k", "im_k", "e_r", "gamma", "abs_denominator"]
     rows = [
@@ -220,32 +190,28 @@ def _run_poles(config: RunConfig) -> None:
             f"Im k in [{_fmt(region.im_min)}, {_fmt(region.im_max)}]"]
     text += _table(header, rows)
     json_obj = {"g": _round12(model.g), "a": _round12(model.a), "poles": _records(header, rows)}
-    _emit(config, text, json_obj, rows, header)
+    _emit(args, text, json_obj, rows, header)
 
 
-def _run_phase(config: RunConfig) -> None:
-    p = config.params
-    model = scattering.DeltaShellModel(g=p["g"], a=p["a"])
-    if p["n"] < 2:
+def _run_phase(args) -> None:
+    model = scattering.DeltaShellModel(g=args.g, a=args.a)
+    if args.n < 2:
         raise ValueError("need at least 2 grid points")
-    energies = np.linspace(p["emin"], p["emax"], p["n"])
-    if np.any(energies <= 0):
-        raise ValueError("phase shift requires positive energies (emin > 0)")
+    energies = np.linspace(args.emin, args.emax, args.n)
     delta = scattering.phase_shift_curve(model, energies)
     s2 = np.sin(delta) ** 2
     header = ["E", "delta", "sin2delta"]
     rows = [[_fmt(e), _fmt(d), _fmt(s)] for e, d, s in zip(energies, delta, s2)]
     json_obj = {"g": _round12(model.g), "a": _round12(model.a), "samples": _records(header, rows)}
-    _emit(config, _table(header, rows), json_obj, rows, header)
+    _emit(args, _table(header, rows), json_obj, rows, header)
 
 
-def _run_evolve(config: RunConfig) -> None:
-    p = config.params
-    pole = scattering.ResonancePole.from_energy(p["er"], p["gamma"])
-    law = dynamics.Law.from_code(p["law"])
-    if p["n"] < 1:
+def _run_evolve(args) -> None:
+    pole = scattering.ResonancePole.from_energy(args.er, args.gamma)
+    law = dynamics.Law.from_code(args.law)
+    if args.n < 1:
         raise ValueError("need at least 1 sample")
-    times = np.linspace(p["t0"], p["t1"], p["n"]) if p["n"] > 1 else np.array([p["t0"]])
+    times = np.linspace(args.t0, args.t1, args.n) if args.n > 1 else np.array([args.t0])
     state = dynamics.GamowState(pole=pole, kind=law.kind, regime=law.regime)
     samples = dynamics.evolution_series(state, times)
     header = ["t", "re_amp", "im_amp", "survival"]
@@ -256,26 +222,24 @@ def _run_evolve(config: RunConfig) -> None:
     text = [f"law {law.code} ({law.kind.value}, r={law.regime}), domain {law.time_domain}"]
     text += _table(header, rows)
     json_obj = {
-        "er": _round12(p["er"]), "gamma": _round12(p["gamma"]), "law": law.code,
+        "er": _round12(args.er), "gamma": _round12(args.gamma), "law": law.code,
         "samples": _records(header, rows),
     }
-    _emit(config, text, json_obj, rows, header)
+    _emit(args, text, json_obj, rows, header)
 
 
-def _run_spectral(config: RunConfig) -> None:
-    p = config.params
-    model = scattering.DeltaShellModel(g=p["g"], a=p["a"])
-    _, center, width = p["packet"]
-    if width <= 0:
-        raise ValueError("packet width must be positive")
-    decomp = spectral.build_decomposition(model, p["kmax"], p["nk"], p["rmax"], p["nr"])
-    packet = spectral.gaussian_packet(center, width, p["rmax"], p["nr"])
+def _run_spectral(args) -> None:
+    model = scattering.DeltaShellModel(g=args.g, a=args.a)
+    _, center, width = args.packet
+    # the packet is checked before the build allocates its (n_k, n_r) matrix
+    packet = spectral.gaussian_packet(center, width, args.rmax, args.nr)
+    decomp = spectral.build_decomposition(model, args.kmax, args.nk, args.rmax, args.nr)
     rebuilt = spectral.reconstruct(decomp, packet)
     error = spectral.reconstruct_error(decomp, packet)
     bound = [e for e, _ in decomp.discrete]
     text = [
-        f"g = {_fmt(model.g)}, a = {_fmt(model.a)}, k_max = {_fmt(p['kmax'])}, "
-        f"n_k = {decomp.k.size}, r_max = {_fmt(p['rmax'])}, n_r = {p['nr']}",
+        f"g = {_fmt(model.g)}, a = {_fmt(model.a)}, k_max = {_fmt(args.kmax)}, "
+        f"n_k = {decomp.k.size}, r_max = {_fmt(args.rmax)}, n_r = {args.nr}",
         f"packet: gaussian center = {_fmt(center)}, width = {_fmt(width)}",
         f"bound states: {len(bound)}"
         + ("" if not bound else " (E = " + ", ".join(_fmt(e) for e in bound) + ")"),
@@ -288,27 +252,24 @@ def _run_spectral(config: RunConfig) -> None:
     ]
     json_obj = {
         "g": _round12(model.g), "a": _round12(model.a),
-        "k_max": _round12(p["kmax"]), "n_k": int(decomp.k.size),
-        "r_max": _round12(p["rmax"]), "n_r": int(p["nr"]),
+        "k_max": _round12(args.kmax), "n_k": int(decomp.k.size),
+        "r_max": _round12(args.rmax), "n_r": int(args.nr),
         "packet_center": _round12(center), "packet_width": _round12(width),
         "bound_energies": [_round12(e) for e in bound],
         "reconstruction_error": _round12(error),
     }
-    _emit(config, text, json_obj, rows, header)
+    _emit(args, text, json_obj, rows, header)
 
 
-def _run_hardy(config: RunConfig) -> None:
-    p = config.params
-    e_r, gamma = p["pole"]
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    e_min = p["emin"] if p["emin"] is not None else e_r - 10000.0 * gamma
-    e_max = p["emax"] if p["emax"] is not None else e_r + 10000.0 * gamma
-    energies, samples = spectral.windowed_resonance_samples(e_r, gamma, e_min, e_max, p["n"])
-    planes = ["upper", "lower"] if p["half_plane"] == "both" else [p["half_plane"]]
+def _run_hardy(args) -> None:
+    e_r, gamma = args.pole
+    e_min = args.emin if args.emin is not None else e_r - 10000.0 * gamma
+    e_max = args.emax if args.emax is not None else e_r + 10000.0 * gamma
+    energies, samples = spectral.windowed_resonance_samples(e_r, gamma, e_min, e_max, args.n)
+    planes = ["upper", "lower"] if args.half_plane == "both" else [args.half_plane]
     reports = [spectral.hardy_check(energies, samples, hp) for hp in planes]
     text = [f"pole at {_fmt(e_r)} - {_fmt(0.5 * gamma)}i, window [{_fmt(e_min)}, {_fmt(e_max)}], "
-            f"n = {p['n']}"]
+            f"n = {args.n}"]
     for rep in reports:
         text.append(
             f"{rep.half_plane:>5s} half-plane: leakage = {_fmt(rep.leakage)}, "
@@ -316,7 +277,7 @@ def _run_hardy(config: RunConfig) -> None:
         )
     json_obj = {
         "e_r": _round12(e_r), "gamma": _round12(gamma),
-        "e_min": _round12(e_min), "e_max": _round12(e_max), "n": int(p["n"]),
+        "e_min": _round12(e_min), "e_max": _round12(e_max), "n": int(args.n),
         "reports": {
             rep.half_plane: {"leakage": _round12(rep.leakage), "is_member": rep.is_member}
             for rep in reports
@@ -324,7 +285,7 @@ def _run_hardy(config: RunConfig) -> None:
     }
     header = ["half_plane", "leakage", "is_member"]
     rows = [[rep.half_plane, _fmt(rep.leakage), str(rep.is_member)] for rep in reports]
-    _emit(config, text, json_obj, rows, header)
+    _emit(args, text, json_obj, rows, header)
 
 
 _HANDLERS = {
@@ -337,10 +298,10 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed config; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; returns the process exit code."""
     try:
-        _HANDLERS[config.subcommand](config)
+        _HANDLERS[args.subcommand](args)
     except (ValueError, OverflowError, scattering.PoleOnContourError,
             scattering.ResonanceFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -344,18 +344,19 @@ def _rectangle_path(region: SearchRegion, n_per_side: int) -> np.ndarray:
     return np.concatenate([seg(c0, c1), seg(c1, c2), seg(c2, c3), seg(c3, c0), [c0]])
 
 
-def pole_count(model: DeltaShellModel, region: SearchRegion, n_per_side: int = 512) -> int:
+def pole_count(model: DeltaShellModel, region: SearchRegion) -> int:
     """Number of zeros of D inside a rectangle, by the argument principle.
 
     Walks the rectangle boundary counterclockwise once and sums the phase
-    steps of D into a winding number.  Sampling is doubled until no phase
-    step reaches pi/2 (up to 2^21 points per side).  Raises
-    PoleOnContourError if |D| on the contour falls below 1e-10 of the local
-    term scale, or if the winding is not close to an integer.
+    steps of D into a winding number.  Sampling starts at 512 points per
+    side and is doubled until no phase step reaches pi/2 (up to 2^21 per
+    side).  Raises PoleOnContourError if |D| on the contour falls below
+    1e-10 of the local term scale, or if the winding is not close to an
+    integer.
     """
     if max(abs(region.im_min), abs(region.im_max)) * model.a > IM_KA_BOUND:
         raise OverflowError(f"contour reaches |Im(k a)| > {IM_KA_BOUND}")
-    n = n_per_side
+    n = 512
     while True:
         path = _rectangle_path(region, n)
         vals = denominator(model, path)
@@ -439,15 +440,14 @@ def fit_breit_wigner_curve(energies, sin2delta):
 def breit_wigner_fit(
     model: DeltaShellModel,
     window: tuple[float, float],
-    n: int = 400,
-    residual_threshold: float = 0.05,
 ) -> tuple[float, float]:
     """Fit the resonance profile of sin^2(delta) over an energy window.
 
     The window must contain exactly one resonance pole (checked against
-    find_poles); the fitted (E_R, Gamma) are returned.  Raises
-    ResonanceFitError when the window holds zero or several resonances or
-    when the fit residual exceeds ``residual_threshold``.
+    find_poles); sin^2(delta) is sampled at 400 energies and the fitted
+    (E_R, Gamma) are returned.  Raises ResonanceFitError when the window
+    holds zero or several resonances or when the fit rms residual exceeds
+    0.05.
     """
     e_lo, e_hi = window
     if not (0 < e_lo < e_hi):
@@ -460,9 +460,9 @@ def breit_wigner_fit(
         raise ResonanceFitError(
             f"window {window} contains {len(in_window)} resonances; need exactly 1"
         )
-    energies = np.linspace(e_lo, e_hi, n)
+    energies = np.linspace(e_lo, e_hi, 400)
     delta = phase_shift_curve(model, energies)
     er, gam, rms = fit_breit_wigner_curve(energies, np.sin(delta) ** 2)
-    if rms > residual_threshold:
-        raise ResonanceFitError(f"not a clean resonance: fit rms {rms:.3g} > {residual_threshold}")
+    if rms > 0.05:
+        raise ResonanceFitError(f"not a clean resonance: fit rms {rms:.3g} > 0.05")
     return er, gam

@@ -25,8 +25,9 @@ with e^{-iEt} (FOURIER_KERNEL_SIGN).  Under it:
 
 Leakage is the energy fraction on the forbidden half-line (t < 0 for the
 upper class, t > 0 for the lower); membership means leakage below
-HARDY_LEAKAGE_THRESHOLD.  The t grid is offset by half a bin so no sample
-sits at t = 0 and the two leakages of f and conj(f) sum to one exactly.
+HARDY_LEAKAGE_THRESHOLD.  The number of samples must be even, so that the t
+grid, offset by half a bin, has no sample at t = 0 and the two leakages of f
+and conj(f) sum to one exactly.
 
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
@@ -87,7 +88,9 @@ class WavePacket:
 
 
 def gaussian_packet(center: float, width: float, r_max: float, n_points: int) -> WavePacket:
-    """exp(-(r - center)^2 / (2 width^2)) sampled on the radial grid."""
+    """exp(-(r - center)^2 / (2 width^2)) sampled on the radial grid; width > 0."""
+    if not width > 0:
+        raise ValueError("packet width must be positive")
     r = np.linspace(0.0, r_max, n_points)
     return WavePacket(np.exp(-((r - center) ** 2) / (2.0 * width**2)), r_max, n_points)
 
@@ -97,13 +100,6 @@ class HardyReport:
     half_plane: str
     leakage: float
     is_member: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "half_plane": self.half_plane,
-            "leakage": self.leakage,
-            "is_member": self.is_member,
-        }
 
 
 @dataclass(frozen=True)
@@ -339,11 +335,13 @@ def reconstruct_error(decomp: SpectralDecomposition, packet: WavePacket) -> floa
 def hardy_check(energies, values, half_plane: str) -> HardyReport:
     """Classify a sampled f(E) by the time support of its Fourier transform.
 
-    energies must be uniform; |f| must have dropped below END_DECAY_THRESHOLD
-    (relative to its peak) at both ends of the grid, otherwise the window
-    truncation would fake leakage.  leakage is the |F(t)|^2 fraction on the
-    half-line forbidden to the requested class (t < 0 for "upper", t > 0 for
-    "lower"); is_member = leakage < HARDY_LEAKAGE_THRESHOLD.
+    energies must be uniform, with an even number of samples so that the
+    half-bin-offset t grid has no sample at t = 0; |f| must have dropped
+    below END_DECAY_THRESHOLD (relative to its peak) at both ends of the
+    grid, otherwise the window truncation would fake leakage.  leakage is
+    the |F(t)|^2 fraction on the half-line forbidden to the requested class
+    (t < 0 for "upper", t > 0 for "lower"); is_member = leakage <
+    HARDY_LEAKAGE_THRESHOLD.
     """
     if half_plane not in ("upper", "lower"):
         raise ValueError(f"half_plane must be 'upper' or 'lower', got {half_plane!r}")
@@ -351,6 +349,8 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     f = np.asarray(values, dtype=complex)
     if e.ndim != 1 or e.size < 16 or f.shape != e.shape:
         raise ValueError("need matching 1-d grids of at least 16 samples")
+    if e.size % 2:
+        raise ValueError(f"need an even number of samples, got {e.size}")
     de = e[1] - e[0]
     if de <= 0 or np.max(np.abs(np.diff(e) - de)) > 1e-9 * de:
         raise ValueError("energy grid must be uniform and increasing")
@@ -365,7 +365,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
         )
 
     n = e.size
-    # t grid offset by half a bin: no sample at t = 0, symmetric under t -> -t
+    # t grid offset by half a bin: for even n no sample at t = 0, symmetric under t -> -t
     dt = 2.0 * np.pi / (n * de)
     t = (np.arange(n) - n / 2 + 0.5) * dt
     twiddle = np.exp(FOURIER_KERNEL_SIGN * 2j * np.pi * np.arange(n) * (-n / 2 + 0.5) / n)
@@ -384,13 +384,12 @@ def windowed_resonance_samples(
     e_min: float,
     e_max: float,
     n: int,
-    envelope_width: float | None = None,
 ):
     """Sample 1/(E - (e_r - i gamma/2)) under a wide Gaussian envelope.
 
     The bare resonance decays only like 1/E, far too slowly to satisfy the
     end-decay precondition of hardy_check on any feasible grid; the envelope
-    (default width: (e_max - e_min)/12.5, centered on e_r) supplies the decay
+    (width (e_max - e_min)/12.5, centered on e_r) supplies the decay
     while widening the transform's edge at t = 0 by ~1/width.  Returns
     (energies, samples).
     """
@@ -398,8 +397,7 @@ def windowed_resonance_samples(
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not e_min < e_r < e_max:
         raise ValueError("the resonance energy must lie inside (e_min, e_max)")
-    if envelope_width is None:
-        envelope_width = (e_max - e_min) / 12.5
+    envelope_width = (e_max - e_min) / 12.5
     e = np.linspace(e_min, e_max, n, endpoint=False)
     envelope = np.exp(-((e - e_r) ** 2) / (2.0 * envelope_width**2))
     return e, envelope / (e - complex(e_r, -0.5 * gamma))

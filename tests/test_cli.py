@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+from gamow import cli, spectral
 from gamow.cli import parse_args, run
 
 BASE = [sys.executable, "-m", "gamow"]
@@ -24,9 +26,9 @@ class TestParsing:
     def test_reps_example(self):
         config = parse_args(["reps", "--row", "1", "--twice-j", "1"])
         assert config.subcommand == "reps"
-        assert config.params["row"] == 1
-        assert config.params["twice_j"] == 1
-        assert config.fmt == "text"
+        assert config.row == 1
+        assert config.twice_j == 1
+        assert config.format == "text"
 
     def test_evolve_example(self):
         config = parse_args(
@@ -34,8 +36,8 @@ class TestParsing:
              "--t0", "0", "--t1", "50", "--n", "500", "--format", "csv"]
         )
         assert config.subcommand == "evolve"
-        assert config.params["law"] == "d0"
-        assert config.fmt == "csv"
+        assert config.law == "d0"
+        assert config.format == "csv"
 
     def test_empty_argv_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -58,6 +60,61 @@ class TestParsing:
         config = parse_args(["evolve", "--law", "d0", "--er", "10", "--gamma", "0.1",
                              "--t0", "-1", "--t1", "1"])
         assert run(config) == 1
+
+
+class TestErrorMessages:
+    """Each input check lives in the library; the CLI prints its message and exits 1."""
+
+    SPECTRAL = ["spectral", "--g", "-5", "--a", "1", "--kmax", "5", "--nk", "64",
+                "--rmax", "10", "--nr", "401"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["phase", "--g", "5", "--a", "1", "--emin=-1", "--emax", "2"],
+         "phase shift requires finite E > 0, got E = -1.0"),
+        (["hardy", "--pole", "10,-0.1", "--n", "32768"], "gamma must be positive, got -0.1"),
+        (SPECTRAL + ["--packet", "gaussian:3,-0.5"], "packet width must be positive"),
+        (["hardy", "--pole", "10,0.1", "--n", "32769"], "need an even number of samples, got 32769"),
+    ], ids=["phase", "hardy-gamma", "spectral", "hardy-odd-n"])
+    def test_library_message_on_stderr(self, capsys, argv, message):
+        assert run(parse_args(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_bad_width_rejected_before_build(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("build_decomposition reached with a bad packet width")
+
+        monkeypatch.setattr(spectral, "build_decomposition", unreachable)
+        assert run(parse_args(self.SPECTRAL + ["--packet", "gaussian:3,0"])) == 1
+        assert capsys.readouterr().err == "error: packet width must be positive\n"
+
+
+class TestBenchContract:
+    """The benchmark's tracer wraps these attributes; pruning one breaks --trace 1."""
+
+    @staticmethod
+    def _tracing():
+        path = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_wrapped_attributes_exist(self):
+        for module, attr, *_ in self._tracing().WRAPPED:
+            target = getattr(importlib.import_module(f"gamow.{module}"), attr, None)
+            assert callable(target), f"gamow.{module}.{attr}"
+
+    def test_main_calls_module_globals(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "parse_args", lambda argv: seen.append(argv) or "parsed")
+        monkeypatch.setattr(cli, "run", lambda args: seen.append(args) or 7)
+        monkeypatch.setattr(sys, "argv", ["gamow", "reps", "--row", "1"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 7
+        assert seen == [["reps", "--row", "1"], "parsed"]
 
 
 class TestJsonOutput:

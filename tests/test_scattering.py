@@ -205,7 +205,7 @@ class TestPoleCount:
         # right edge passes exactly through the pole
         region = SearchRegion(k.real - 1.0, k.real, k.imag - 1.0, k.imag + 1e-12)
         with pytest.raises(PoleOnContourError):
-            pole_count(STRONG, region, n_per_side=64)
+            pole_count(STRONG, region)
 
 
 class TestBoundStates:

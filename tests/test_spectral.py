@@ -130,6 +130,12 @@ class TestReconstruction:
         ]
         assert errs[0] > errs[1] > errs[2]
 
+    @pytest.mark.parametrize("width", [-0.4, 0.0])
+    def test_nonpositive_width_rejected(self, width):
+        # unchecked, a negative width gives the |width| packet and zero a NaN packet
+        with pytest.raises(ValueError, match="packet width must be positive"):
+            gaussian_packet(2.0, width, R_MAX, N_R)
+
     def test_tail_precondition(self, strong_decomp):
         packet = gaussian_packet(9.0, 0.5, R_MAX, N_R)
         with pytest.raises(ValueError, match="tail"):
@@ -210,6 +216,14 @@ class TestHardyCheck:
         with pytest.raises(ValueError, match="uniform"):
             hardy_check(e, f, "upper")
 
+    def test_odd_sample_count_rejected(self):
+        # an odd n puts a t sample at 0, in neither half-line: unchecked, the
+        # leakages of f and conj(f) sum to 1 - 7.8e-4 at n = 4097
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 4097)
+        for half_plane in ("upper", "lower"):
+            with pytest.raises(ValueError, match="even number of samples, got 4097"):
+                hardy_check(e, f, half_plane)
+
     def test_bad_half_plane_rejected(self):
         with pytest.raises(ValueError, match="half_plane"):
             hardy_check(self.e, self.f, "sideways")
@@ -218,7 +232,6 @@ class TestHardyCheck:
         report = hardy_check(self.e, self.f, "upper")
         assert isinstance(report, HardyReport)
         assert 0.0 <= report.leakage <= 1.0
-        assert report.as_dict()["half_plane"] == "upper"
 
 
 class TestWindowedSamples:
