@@ -158,8 +158,8 @@ def _run_reps(args) -> None:
     spin = reps.SpinLabel(args.twice_j)
     report = reps.verify_group_relations(row, spin)
     relations = report.as_dict()
-    operators = [("C", reps.build_c_matrix(spin)), ("Sigma", reps.build_sigma(row, spin)),
-                 ("R", reps.build_r(row, spin)), ("T", reps.build_t(row, spin))]
+    operators = [("C", reps.build_c_matrix(spin)), ("Sigma", report.sigma),
+                 ("R", report.r), ("T", report.t)]
 
     text = [
         f"row {row.value}, twice_j = {spin.twice_j} (j = {_fmt(spin.j)})",

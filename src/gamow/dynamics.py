@@ -156,19 +156,13 @@ def time_reverse(state: GamowState) -> GamowState:
     return GamowState(pole=state.pole, kind=flipped, regime=1 - state.regime)
 
 
-def semigroup_compose_check(
-    pole: ResonancePole,
-    law: Law,
-    t1: float,
-    t2: float,
-    rel_tol: float = 1e-12,
-) -> bool:
-    """True iff amplitude(t1 + t2) = amplitude(t1) * amplitude(t2) within rel_tol.
+def semigroup_compose_check(pole: ResonancePole, law: Law, t1: float, t2: float) -> bool:
+    """True iff amplitude(t1 + t2) = amplitude(t1) * amplitude(t2) to a relative 1e-12.
 
     Both times (and hence their sum) must lie in the law's half-domain.
     """
     a1, a2, combined = amplitude(law, pole, [t1, t2, t1 + t2]).tolist()
-    return abs(combined - a1 * a2) <= rel_tol * abs(combined)
+    return abs(combined - a1 * a2) <= 1e-12 * abs(combined)
 
 
 def evolution_series(state: GamowState, times) -> np.recarray:

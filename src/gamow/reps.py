@@ -33,7 +33,7 @@ between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -87,11 +87,6 @@ class RepRow(Enum):
     TWO = 2
     THREE = 3
     FOUR = 4
-
-    @property
-    def doubled(self) -> bool:
-        """Rows two to four carry a doubled (2 x (2j+1)) space."""
-        return self is not RepRow.ONE
 
     def eps_r(self, spin: SpinLabel) -> int:
         s = spin.parity_sign
@@ -209,7 +204,11 @@ def apply_operator(op: SymmetryOperator, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Exact (integer-arithmetic) check of the group relations for one row."""
+    """Exact (integer-arithmetic) check of the group relations for one row.
+
+    sigma, r and t are the operators checked; being fixed by row and spin, they
+    take no part in equality or hashing.
+    """
 
     row: RepRow
     spin: SpinLabel
@@ -222,6 +221,9 @@ class RelationReport:
     sigma_r_equals_r_sigma: bool
     commutation_sign: int
     """Sign s with R Sigma = s Sigma R; equals eps_r * eps_t for all four rows."""
+    sigma: SymmetryOperator = field(compare=False)
+    r: SymmetryOperator = field(compare=False)
+    t: SymmetryOperator = field(compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -243,7 +245,8 @@ def _is_scaled_identity(m: np.ndarray, factor: int) -> bool:
 
 
 def verify_group_relations(row: RepRow, spin: SpinLabel) -> RelationReport:
-    """Build Sigma, R, T for (row, spin) and check every defining relation.
+    """Build Sigma, R, T for (row, spin), check every defining relation, and
+    return the operators with the report.
 
     ``sigma_r_equals_r_sigma`` records literal matrix equality of the two
     orderings; when eps_t = -eps_r that equality is impossible (the operators
@@ -280,4 +283,7 @@ def verify_group_relations(row: RepRow, spin: SpinLabel) -> RelationReport:
         t_equals_sigma_r=sigma_r == t,
         sigma_r_equals_r_sigma=sigma_r == r_sigma,
         commutation_sign=comm,
+        sigma=sigma,
+        r=r,
+        t=t,
     )

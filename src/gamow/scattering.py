@@ -109,10 +109,6 @@ class ResonancePole:
         # principal sqrt of the lower-half-plane energy: Re k > 0, Im k < 0
         return cls(e_r=e_r, gamma=gamma, k_pole=cmath.sqrt(complex(e_r, -0.5 * gamma)))
 
-    @property
-    def z(self) -> complex:
-        return complex(self.e_r, -0.5 * self.gamma)
-
 
 @dataclass(frozen=True)
 class SearchRegion:

@@ -88,11 +88,22 @@ class WavePacket:
 
 
 def gaussian_packet(center: float, width: float, r_max: float, n_points: int) -> WavePacket:
-    """exp(-(r - center)^2 / (2 width^2)) sampled on the radial grid; width > 0."""
+    """exp(-(r - center)^2 / (2 width^2)) sampled on the radial grid.
+
+    Raises ValueError unless width > 0, 2 width^2 is finite and nonzero, and the
+    exponent is finite on the grid.
+    """
     if not width > 0:
         raise ValueError("packet width must be positive")
     r = np.linspace(0.0, r_max, n_points)
-    return WavePacket(np.exp(-((r - center) ** 2) / (2.0 * width**2)), r_max, n_points)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = np.exp(-((r - center) ** 2) / (2.0 * width**2))
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"packet width {width:g} (center {center:g}) is out of range: 2 width^2 "
+                         "must be finite and nonzero, and (r - center)^2 / (2 width^2) finite "
+                         "on the grid") from None
+    return WavePacket(values, r_max, n_points)
 
 
 @dataclass(frozen=True)
@@ -156,10 +167,10 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 def _continuum_functions(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Real scattering solutions with asymptotic amplitude 1, rows by k.
 
-    Built from the interior form sin(kr) matched at the shell: outside,
-    u = alpha sin(kr) + beta cos(kr) with alpha = 1 + (g/k) sin ka cos ka,
-    beta = -(g/k) sin^2 ka; dividing by sqrt(alpha^2 + beta^2) sets the
-    exterior amplitude to one (the interior is enhanced by 1/M on resonance).
+    Evaluated once per element, by region of the increasing r grid: sin(kr)
+    for r <= a, and outside u = alpha sin(kr) + beta cos(kr) with alpha = 1 +
+    (g/k) sin ka cos ka, beta = -(g/k) sin^2 ka; dividing by sqrt(alpha^2 +
+    beta^2) sets the exterior amplitude to one (1/M inside on resonance).
     """
     kc = k[:, None]
     s = np.sin(kc * model.a)
@@ -168,10 +179,9 @@ def _continuum_functions(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -
     alpha = 1.0 + x * s * c
     beta = -x * s * s
     m = np.sqrt(alpha**2 + beta**2)
-    kr = kc * r[None, :]
-    inside = np.sin(kr) / m
-    outside = (alpha * np.sin(kr) + beta * np.cos(kr)) / m
-    return np.where(r[None, :] <= model.a, inside, outside)
+    n_in = np.searchsorted(r, model.a, side="right")
+    kr = kc * r[n_in:]
+    return np.hstack([np.sin(kc * r[:n_in]), alpha * np.sin(kr) + beta * np.cos(kr)]) / m
 
 
 def _adaptive_k_grid(model: DeltaShellModel, k_max: float, n_k: int) -> np.ndarray:
@@ -254,8 +264,8 @@ def build_decomposition(
 ) -> SpectralDecomposition:
     """Assemble bound and continuum eigendata on radial/momentum grids.
 
-    n_r must be odd (Simpson weights).  Bound eigenfunctions are normalized
-    against the radial quadrature, so their grid norm is one by construction.
+    n_r must be odd (Simpson weights).  Each element is evaluated once, by region
+    (r <= a, r > a); bound eigenfunctions are normalized to unit quadrature norm.
     """
     if k_max <= 0 or r_max <= 0 or n_k < 8 or n_r < 3:
         raise ValueError("grid parameters must be positive (n_k >= 8, n_r >= 3)")
@@ -264,12 +274,12 @@ def build_decomposition(
     r = np.linspace(0.0, r_max, n_r)
     wr = _simpson_weights(n_r, r[1] - r[0])
 
+    n_in = np.searchsorted(r, model.a, side="right")
     discrete = []
     for energy in bound_states(model):
         kappa = np.sqrt(-energy)
-        inside = np.sinh(kappa * np.minimum(r, model.a))
-        outside = np.sinh(kappa * model.a) * np.exp(-kappa * (np.maximum(r, model.a) - model.a))
-        u = np.where(r <= model.a, inside, outside)
+        u = np.concatenate([np.sinh(kappa * r[:n_in]),
+                            np.sinh(kappa * model.a) * np.exp(-kappa * (r[n_in:] - model.a))])
         u = u / np.sqrt(np.sum(wr * u * u))
         discrete.append((energy, u))
 

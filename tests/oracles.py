@@ -6,14 +6,17 @@ pole positions come from a dense |D| scan with recursive grid refinement
 condition (no bisection helper), and winding counts from a brute-force
 densely sampled contour.
 
-Three exceptions are bit-identity references for array paths, kept verbatim
-from the scalar code they replaced: ``scalar_find_poles``, the seed-by-seed
-Newton search that ``find_poles`` ran before it became one array iteration;
+Five exceptions are bit-identity references, kept verbatim from the
+code they replaced: ``scalar_find_poles``, the seed-by-seed Newton search
+that ``find_poles`` ran before it became one array iteration;
 ``scalar_amplitude``, the one-time ``cmath`` evaluation of a semigroup law
-that ``dynamics.amplitude`` replaced; and ``scalar_phase_shift_curve``, the
+that ``dynamics.amplitude`` replaced; ``scalar_phase_shift_curve``, the
 point-by-point branch walk (with its interval bisection) that
 ``phase_shift_curve`` ran before it became one ``s_matrix`` call and a
-cumulative sum of rounded jumps.
+cumulative sum of rounded jumps; and ``where_continuum_functions`` and
+``where_bound_functions``, the spectral eigenfunctions evaluated on the
+whole r grid for both regions and then selected with ``np.where``, before
+each region was evaluated on its own columns.
 """
 
 import cmath
@@ -25,6 +28,7 @@ from gamow.scattering import (
     IM_KA_BOUND,
     ResonancePole,
     _term_scale,
+    bound_states,
     denominator,
     s_matrix,
 )
@@ -218,3 +222,31 @@ def scalar_phase_shift_curve(model, energies):
     for i in range(1, e.size):
         out[i] = continue_branch(e[i - 1], out[i - 1], e[i])
     return out
+
+
+def where_continuum_functions(model, k, r):
+    """The continuum matrix with both regions on every column, then np.where."""
+    kc = k[:, None]
+    s = np.sin(kc * model.a)
+    c = np.cos(kc * model.a)
+    x = model.g / kc
+    alpha = 1.0 + x * s * c
+    beta = -x * s * s
+    m = np.sqrt(alpha**2 + beta**2)
+    kr = kc * r[None, :]
+    inside = np.sin(kr) / m
+    outside = (alpha * np.sin(kr) + beta * np.cos(kr)) / m
+    return np.where(r[None, :] <= model.a, inside, outside)
+
+
+def where_bound_functions(model, r, wr):
+    """(energy, normalized eigenfunction) per bound state, selected by np.where."""
+    discrete = []
+    for energy in bound_states(model):
+        kappa = np.sqrt(-energy)
+        inside = np.sinh(kappa * np.minimum(r, model.a))
+        outside = np.sinh(kappa * model.a) * np.exp(-kappa * (np.maximum(r, model.a) - model.a))
+        u = np.where(r <= model.a, inside, outside)
+        u = u / np.sqrt(np.sum(wr * u * u))
+        discrete.append((energy, u))
+    return discrete

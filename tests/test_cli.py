@@ -5,13 +5,15 @@ import hashlib
 import importlib.util
 import io
 import json
+import numbers
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gamow import cli, spectral
+from gamow import cli, dynamics, scattering, spectral
 from gamow.cli import parse_args, run
 
 BASE = [sys.executable, "-m", "gamow"]
@@ -67,6 +69,8 @@ class TestErrorMessages:
 
     SPECTRAL = ["spectral", "--g", "-5", "--a", "1", "--kmax", "5", "--nk", "64",
                 "--rmax", "10", "--nr", "401"]
+    WIDTH_RANGE = ("(center 3) is out of range: 2 width^2 must be finite and nonzero, "
+                   "and (r - center)^2 / (2 width^2) finite on the grid")
 
     @pytest.mark.parametrize("argv, message", [
         (["phase", "--g", "5", "--a", "1", "--emin=-1", "--emax", "2"],
@@ -74,7 +78,11 @@ class TestErrorMessages:
         (["hardy", "--pole", "10,-0.1", "--n", "32768"], "gamma must be positive, got -0.1"),
         (SPECTRAL + ["--packet", "gaussian:3,-0.5"], "packet width must be positive"),
         (["hardy", "--pole", "10,0.1", "--n", "32769"], "need an even number of samples, got 32769"),
-    ], ids=["phase", "hardy-gamma", "spectral", "hardy-odd-n"])
+        (SPECTRAL + ["--packet", "gaussian:3,1e-200"], "packet width 1e-200 " + WIDTH_RANGE),
+        (SPECTRAL + ["--packet", "gaussian:3,1e-155"], "packet width 1e-155 " + WIDTH_RANGE),
+        (SPECTRAL + ["--packet", "gaussian:3,1e200"], "packet width 1e+200 " + WIDTH_RANGE),
+    ], ids=["phase", "hardy-gamma", "spectral", "hardy-odd-n",
+            "width-underflow", "width-subnormal", "width-overflow"])
     def test_library_message_on_stderr(self, capsys, argv, message):
         assert run(parse_args(argv)) == 1
         captured = capsys.readouterr()
@@ -105,6 +113,29 @@ class TestBenchContract:
         for module, attr, *_ in self._tracing().WRAPPED:
             target = getattr(importlib.import_module(f"gamow.{module}"), attr, None)
             assert callable(target), f"gamow.{module}.{attr}"
+
+    def test_counters_read_real_results(self):
+        # every counter lambda runs on a real call, so a dropped attribute it reads fails here
+        model = scattering.DeltaShellModel(g=100.0, a=1.0)
+        find_poles_call = (model, scattering.SearchRegion(0.0, 20.0, -3.0, 0.0))
+        samples = {
+            ("scattering", "find_poles"): find_poles_call,
+            ("spectral", "find_poles"): find_poles_call,
+            ("scattering", "denominator"): (model, np.array([1.0 - 0.1j, 9.4 - 0.05j])),
+            ("scattering", "s_matrix"): (model, np.array([1.0, 9.4])),
+            ("dynamics", "evolution_series"): (
+                dynamics.GamowState(scattering.ResonancePole.from_energy(10.0, 0.1),
+                                    dynamics.Kind.DECAYING, 0), np.linspace(0.0, 5.0, 6)),
+            ("spectral", "build_decomposition"): (model, 5.0, 64, 10.0, 401),
+        }
+        for module, attr, _, counters in self._tracing().WRAPPED:
+            if not counters:
+                continue
+            args = samples[(module, attr)]
+            result = getattr(importlib.import_module(f"gamow.{module}"), attr)(*args)
+            for name, measure in counters.items():
+                value = measure(args, result)
+                assert isinstance(value, numbers.Real) and value >= 0, name
 
     def test_main_calls_module_globals(self, monkeypatch):
         seen = []

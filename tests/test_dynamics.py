@@ -164,7 +164,7 @@ class TestSemigroup:
             pole = random_pole(rng)
             t1 = domain_time(law, rng, scale=3.0 / pole.gamma)
             t2 = domain_time(law, rng, scale=3.0 / pole.gamma)
-            assert semigroup_compose_check(pole, law, t1, t2, rel_tol=1e-12)
+            assert semigroup_compose_check(pole, law, t1, t2)
 
 
 class TestStateLabels:

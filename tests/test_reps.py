@@ -179,6 +179,15 @@ class TestGroupRelations:
         assert rep.commutation_sign == rep.eps_r * rep.eps_t
         assert rep.sigma_r_equals_r_sigma == (rep.eps_r == rep.eps_t)
 
+    @pytest.mark.parametrize("row", ALL_ROWS)
+    def test_report_carries_checked_operators(self, row):
+        spin = SpinLabel(3)
+        rep = verify_group_relations(row, spin)
+        assert rep.sigma == build_sigma(row, spin)
+        assert rep.r == build_r(row, spin)
+        assert rep.t == build_t(row, spin)
+        assert hash(rep) == hash(verify_group_relations(row, spin))
+
     def test_row1_j0(self):
         rep = verify_group_relations(RepRow.ONE, SpinLabel(0))
         assert (rep.eps_r, rep.eps_t) == (1, 1)

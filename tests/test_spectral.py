@@ -1,5 +1,7 @@
 """Eigenfunction-expansion completeness and the Paley-Wiener classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from gamow.spectral import (
 )
 from gamow import spectral
 from gamow.spectral import _adaptive_k_grid
+from oracles import where_bound_functions, where_continuum_functions
 
 R_MAX, N_R = 10.0, 4001
 ATTRACTIVE = DeltaShellModel(g=-5.0, a=1.0)
@@ -88,6 +91,40 @@ class TestDecomposition:
     def test_even_n_r_rejected(self):
         with pytest.raises(ValueError):
             build_decomposition(ATTRACTIVE, 10.0, 200, 10.0, 4000)
+
+
+class TestPiecewiseEigenfunctions:
+    """Each region evaluated on its own columns equals the np.where form exactly."""
+
+    @pytest.mark.parametrize("g, a", [
+        (100.0, 1.0), (-5.0, 1.0), (0.5, 1.0),
+        (100.0, 1.2345), (-5.0, 1.2345), (-0.6, 1.2345),
+    ], ids=["strong-node", "attractive-node", "weak-node",
+            "strong-between", "attractive-between", "weak-between"])
+    def test_matches_where_form(self, g, a):
+        model = DeltaShellModel(g=g, a=a)
+        decomp = build_decomposition(model, k_max=30.0, n_k=500, r_max=R_MAX, n_r=N_R)
+        # a = 1 is node 400 of the grid (that column stays inside); 1.2345 falls between
+        assert (a in decomp.r) == (a == 1.0)
+        assert np.array_equal(decomp.continuum,
+                              where_continuum_functions(model, decomp.k, decomp.r))
+        expected = where_bound_functions(model, decomp.r, decomp.r_weights)
+        assert len(decomp.discrete) == len(expected) == (1 if g * a < -1 else 0)
+        for (energy, u), (energy_ref, u_ref) in zip(decomp.discrete, expected):
+            assert energy == energy_ref
+            assert np.array_equal(u, u_ref)
+
+    def test_continuum_peak_memory(self):
+        # the np.where form holds about five matrices at once (4.8-5x the result)
+        k = np.linspace(30.0 / 2000, 30.0, 2000)
+        r = np.linspace(0.0, R_MAX, N_R)
+        tracemalloc.start()
+        try:
+            cont = spectral._continuum_functions(STRONG, k, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * cont.nbytes
 
 
 class TestReconstruction:
