@@ -231,11 +231,12 @@ def _run_evolve(args) -> None:
 def _run_spectral(args) -> None:
     model = scattering.DeltaShellModel(g=args.g, a=args.a)
     _, center, width = args.packet
-    # the packet is checked before the build allocates its (n_k, n_r) matrix
+    # the grid budget, then the packet, are checked before the build allocates its matrix
+    spectral.check_grid_budget(args.nk, args.nr)
     packet = spectral.gaussian_packet(center, width, args.rmax, args.nr)
     decomp = spectral.build_decomposition(model, args.kmax, args.nk, args.rmax, args.nr)
     rebuilt = spectral.reconstruct(decomp, packet)
-    error = spectral.reconstruct_error(decomp, packet)
+    error = spectral._relative_error(decomp, packet, rebuilt)
     bound = [e for e, _ in decomp.discrete]
     text = [
         f"g = {_fmt(model.g)}, a = {_fmt(model.a)}, k_max = {_fmt(args.kmax)}, "

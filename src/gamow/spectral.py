@@ -31,10 +31,16 @@ and conj(f) sum to one exactly.
 
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
+
+Memory is bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements (1 GiB) per
+grid: the (n_k, n_r) continuum matrix and the Hardy energy grid are rejected
+by check_grid_budget before anything of their size is allocated.  Apart from
+the stored matrix, a build allocates only row-block-sized temporaries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,8 @@ __all__ = [
     "FOURIER_KERNEL_SIGN",
     "HARDY_LEAKAGE_THRESHOLD",
     "END_DECAY_THRESHOLD",
+    "MAX_GRID_ELEMENTS",
+    "check_grid_budget",
     "SpectralDecomposition",
     "WavePacket",
     "HardyReport",
@@ -62,7 +70,21 @@ CONTINUUM_MEASURE = 2.0 / np.pi
 FOURIER_KERNEL_SIGN = -1          # f(E) pairs with exp(FOURIER_KERNEL_SIGN * 1j * E * t)
 HARDY_LEAKAGE_THRESHOLD = 1e-4
 END_DECAY_THRESHOLD = 1e-8        # required |f(ends)| / max|f|
+MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
+_BLOCK_ELEMENTS = 2**18           # continuum elements filled per block (2 MiB of float64)
+
+
+def check_grid_budget(*shape: int) -> None:
+    """Raise ValueError when a float64 grid of this shape would exceed MAX_GRID_ELEMENTS.
+
+    The budget is 2^27 elements, 1 GiB.  Each dimension counts as at least
+    one, so a non-positive size elsewhere cannot hide an oversized one (the
+    functions that take the grid reject non-positive sizes themselves).
+    """
+    if math.prod(max(int(n), 1) for n in shape) > MAX_GRID_ELEMENTS:
+        raise ValueError(f"grid of {' x '.join(str(n) for n in shape)} points exceeds the budget "
+                         f"of {MAX_GRID_ELEMENTS} float64 elements (1 GiB)")
 
 
 @dataclass(frozen=True)
@@ -90,8 +112,9 @@ class WavePacket:
 def gaussian_packet(center: float, width: float, r_max: float, n_points: int) -> WavePacket:
     """exp(-(r - center)^2 / (2 width^2)) sampled on the radial grid.
 
-    Raises ValueError unless width > 0, 2 width^2 is finite and nonzero, and the
-    exponent is finite on the grid.
+    Raises ValueError unless width > 0, 2 width^2 is finite and nonzero, the
+    exponent is finite on the grid, and the width is at least the grid spacing
+    (a narrower packet is not resolved: it samples as a one-point spike).
     """
     if not width > 0:
         raise ValueError("packet width must be positive")
@@ -103,6 +126,9 @@ def gaussian_packet(center: float, width: float, r_max: float, n_points: int) ->
         raise ValueError(f"packet width {width:g} (center {center:g}) is out of range: 2 width^2 "
                          "must be finite and nonzero, and (r - center)^2 / (2 width^2) finite "
                          "on the grid") from None
+    if n_points > 1 and width < r[1] - r[0]:
+        raise ValueError(f"packet width {width:g} is below the r grid spacing {r[1] - r[0]:g}; "
+                         "the packet is not resolved on the grid")
     return WavePacket(values, r_max, n_points)
 
 
@@ -120,6 +146,10 @@ class SpectralDecomposition:
     discrete: tuple of (energy, eigenfunction-on-r-grid) pairs, each with
     unit quadrature norm.  k/k_weights realize the continuum measure
     (2/pi) dk; continuum has shape (len(k), len(r)).
+
+    It takes ownership of the arrays it is given: float arrays are kept
+    without a copy and made read-only, so a caller must not write to them
+    afterwards (build_decomposition hands over freshly built ones).
     """
 
     model: DeltaShellModel
@@ -132,12 +162,12 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         for name in ("r", "r_weights", "k", "k_weights", "continuum"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         frozen = []
         for energy, u in self.discrete:
-            u = np.asarray(u, dtype=float).copy()
+            u = np.asarray(u, dtype=float)
             u.setflags(write=False)
             frozen.append((float(energy), u))
         object.__setattr__(self, "discrete", tuple(frozen))
@@ -171,6 +201,11 @@ def _continuum_functions(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -
     for r <= a, and outside u = alpha sin(kr) + beta cos(kr) with alpha = 1 +
     (g/k) sin ka cos ka, beta = -(g/k) sin^2 ka; dividing by sqrt(alpha^2 +
     beta^2) sets the exterior amplitude to one (1/M inside on resonance).
+
+    The result is allocated once and filled in place, one block of k rows at a
+    time (about _BLOCK_ELEMENTS elements per block), so the temporaries stay
+    block-sized; each element gets the same operations in the same order as
+    the whole-matrix form, hence the same bits.
     """
     kc = k[:, None]
     s = np.sin(kc * model.a)
@@ -180,8 +215,21 @@ def _continuum_functions(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -
     beta = -x * s * s
     m = np.sqrt(alpha**2 + beta**2)
     n_in = np.searchsorted(r, model.a, side="right")
-    kr = kc * r[n_in:]
-    return np.hstack([np.sin(kc * r[:n_in]), alpha * np.sin(kr) + beta * np.cos(kr)]) / m
+    r_out = r[n_in:]
+    out = np.empty((k.size, r.size))
+    rows = max(1, _BLOCK_ELEMENTS // r.size)
+    for lo in range(0, k.size, rows):
+        blk = slice(lo, lo + rows)
+        kb, block, exterior = kc[blk], out[blk], out[blk, n_in:]
+        np.sin(kb * r[:n_in], out=block[:, :n_in])
+        kr = kb * r_out
+        np.sin(kr, out=exterior)
+        exterior *= alpha[blk]
+        np.cos(kr, out=kr)
+        kr *= beta[blk]
+        exterior += kr
+        block /= m[blk]
+    return out
 
 
 def _adaptive_k_grid(model: DeltaShellModel, k_max: float, n_k: int) -> np.ndarray:
@@ -264,11 +312,14 @@ def build_decomposition(
 ) -> SpectralDecomposition:
     """Assemble bound and continuum eigendata on radial/momentum grids.
 
-    n_r must be odd (Simpson weights).  Each element is evaluated once, by region
-    (r <= a, r > a); bound eigenfunctions are normalized to unit quadrature norm.
+    n_r must be odd (Simpson weights), and n_k * n_r within MAX_GRID_ELEMENTS
+    (checked before the k-grid pole search or the matrix allocates).  Each
+    element is evaluated once, by region (r <= a, r > a); bound eigenfunctions
+    are normalized to unit quadrature norm.
     """
     if k_max <= 0 or r_max <= 0 or n_k < 8 or n_r < 3:
         raise ValueError("grid parameters must be positive (n_k >= 8, n_r >= 3)")
+    check_grid_budget(n_k, n_r)
     if r_max <= 2 * model.a:
         raise ValueError("r_max must exceed the shell radius comfortably (r_max > 2a)")
     r = np.linspace(0.0, r_max, n_r)
@@ -333,7 +384,12 @@ def reconstruct(decomp: SpectralDecomposition, packet: WavePacket) -> WavePacket
 
 def reconstruct_error(decomp: SpectralDecomposition, packet: WavePacket) -> float:
     """Relative L2 error of the reconstruction (0 for the zero packet)."""
-    rebuilt = reconstruct(decomp, packet)
+    return _relative_error(decomp, packet, reconstruct(decomp, packet))
+
+
+def _relative_error(decomp: SpectralDecomposition, packet: WavePacket,
+                    rebuilt: WavePacket) -> float:
+    """Relative L2 distance of rebuilt from packet (0 for the zero packet)."""
     diff = packet.values - rebuilt.values
     norm2 = float(np.sum(decomp.r_weights * packet.values**2))
     if norm2 == 0.0:
@@ -351,7 +407,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     grid, otherwise the window truncation would fake leakage.  leakage is
     the |F(t)|^2 fraction on the half-line forbidden to the requested class
     (t < 0 for "upper", t > 0 for "lower"); is_member = leakage <
-    HARDY_LEAKAGE_THRESHOLD.
+    HARDY_LEAKAGE_THRESHOLD.  The sample count must be within MAX_GRID_ELEMENTS.
     """
     if half_plane not in ("upper", "lower"):
         raise ValueError(f"half_plane must be 'upper' or 'lower', got {half_plane!r}")
@@ -359,6 +415,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     f = np.asarray(values, dtype=complex)
     if e.ndim != 1 or e.size < 16 or f.shape != e.shape:
         raise ValueError("need matching 1-d grids of at least 16 samples")
+    check_grid_budget(e.size)
     if e.size % 2:
         raise ValueError(f"need an even number of samples, got {e.size}")
     de = e[1] - e[0]
@@ -401,12 +458,13 @@ def windowed_resonance_samples(
     end-decay precondition of hardy_check on any feasible grid; the envelope
     (width (e_max - e_min)/12.5, centered on e_r) supplies the decay
     while widening the transform's edge at t = 0 by ~1/width.  Returns
-    (energies, samples).
+    (energies, samples); n must be within MAX_GRID_ELEMENTS.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not e_min < e_r < e_max:
         raise ValueError("the resonance energy must lie inside (e_min, e_max)")
+    check_grid_budget(n)
     envelope_width = (e_max - e_min) / 12.5
     e = np.linspace(e_min, e_max, n, endpoint=False)
     envelope = np.exp(-((e - e_r) ** 2) / (2.0 * envelope_width**2))

@@ -81,8 +81,11 @@ class TestErrorMessages:
         (SPECTRAL + ["--packet", "gaussian:3,1e-200"], "packet width 1e-200 " + WIDTH_RANGE),
         (SPECTRAL + ["--packet", "gaussian:3,1e-155"], "packet width 1e-155 " + WIDTH_RANGE),
         (SPECTRAL + ["--packet", "gaussian:3,1e200"], "packet width 1e+200 " + WIDTH_RANGE),
+        (SPECTRAL + ["--packet", "gaussian:3,1e-100"],
+         "packet width 1e-100 is below the r grid spacing 0.025; "
+         "the packet is not resolved on the grid"),
     ], ids=["phase", "hardy-gamma", "spectral", "hardy-odd-n",
-            "width-underflow", "width-subnormal", "width-overflow"])
+            "width-underflow", "width-subnormal", "width-overflow", "width-unresolved"])
     def test_library_message_on_stderr(self, capsys, argv, message):
         assert run(parse_args(argv)) == 1
         captured = capsys.readouterr()
@@ -96,6 +99,37 @@ class TestErrorMessages:
         monkeypatch.setattr(spectral, "build_decomposition", unreachable)
         assert run(parse_args(self.SPECTRAL + ["--packet", "gaussian:3,0"])) == 1
         assert capsys.readouterr().err == "error: packet width must be positive\n"
+
+    def test_grid_over_budget_rejected_before_any_allocation(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("allocation reached with an over-budget grid")
+
+        for name in ("gaussian_packet", "_adaptive_k_grid", "_continuum_functions"):
+            monkeypatch.setattr(spectral, name, unreachable)
+        n_k = spectral.MAX_GRID_ELEMENTS // 4001 + 1
+        argv = ["spectral", "--g", "100", "--a", "1", "--nk", str(n_k), "--packet", "gaussian:2,0.4"]
+        assert run(parse_args(argv)) == 1
+        assert capsys.readouterr().err == (
+            f"error: grid of {n_k} x 4001 points exceeds the budget of 134217728 float64 "
+            "elements (1 GiB)\n")
+
+    def test_hardy_n_over_budget_rejected_before_any_allocation(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("energy grid allocated with an over-budget --n")
+
+        n = spectral.MAX_GRID_ELEMENTS + 2
+        monkeypatch.setattr(spectral.np, "linspace", unreachable)
+        assert run(parse_args(["hardy", "--pole", "10,0.1", "--n", str(n)])) == 1
+        assert capsys.readouterr().err == (
+            f"error: grid of {n} points exceeds the budget of 134217728 float64 elements (1 GiB)\n")
+
+    def test_spectral_reconstructs_once(self, capsys, monkeypatch):
+        calls = []
+        expand = spectral.expand
+        monkeypatch.setattr(spectral, "expand", lambda *args: calls.append(args) or expand(*args))
+        assert run(parse_args(self.SPECTRAL + ["--packet", "gaussian:3,0.5"])) == 0
+        assert len(calls) == 1
+        assert "relative L2 reconstruction error" in capsys.readouterr().out
 
 
 class TestBenchContract:

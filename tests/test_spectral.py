@@ -126,6 +126,60 @@ class TestPiecewiseEigenfunctions:
             tracemalloc.stop()
         assert peak <= 4 * cont.nbytes
 
+    # rows per block is _BLOCK_ELEMENTS // n_r: 65 at n_r = 4001, 1 past 2^18 columns
+    @pytest.mark.parametrize("n_k, r_max, n_r", [
+        (131, R_MAX, N_R), (40, R_MAX, N_R), (3, 8.0, 2**18 + 1),
+    ], ids=["partial-last-block", "one-short-block", "one-row-blocks"])
+    @pytest.mark.parametrize("g, a", [(100.0, 1.0), (-5.0, 1.2345)], ids=["node", "between"])
+    def test_block_build_matches_where_form(self, n_k, r_max, n_r, g, a):
+        rows = max(1, spectral._BLOCK_ELEMENTS // n_r)
+        assert n_k % rows != 0 or rows == 1
+        model = DeltaShellModel(g=g, a=a)
+        k = np.linspace(30.0 / n_k, 30.0, n_k)
+        r = np.linspace(0.0, r_max, n_r)
+        # a = 1 is a node of both r grids (r_max / (n_r - 1) = 2^-15 on the wide one)
+        assert (a in r) == (a == 1.0)
+        assert np.array_equal(spectral._continuum_functions(model, k, r),
+                              where_continuum_functions(model, k, r))
+
+    def test_build_peak_memory_is_about_one_matrix(self):
+        # whole-matrix temporaries held 3.7 matrices, and the copy into the record one more
+        tracemalloc.start()
+        try:
+            decomp = build_decomposition(STRONG, k_max=30.0, n_k=2000, r_max=R_MAX, n_r=N_R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * decomp.continuum.nbytes
+
+    def test_arrays_are_read_only(self, strong_decomp):
+        assert not strong_decomp.continuum.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            strong_decomp.continuum[0, 0] = 0.0
+        for _, u in build_decomposition(ATTRACTIVE, 30.0, 64, R_MAX, 401).discrete:
+            assert not u.flags.writeable
+
+
+class TestGridBudget:
+    def test_limit_is_inclusive(self):
+        spectral.check_grid_budget(2**13, 2**14)
+        with pytest.raises(ValueError, match="grid of 8193 x 16384 points exceeds the budget"):
+            spectral.check_grid_budget(2**13 + 1, 2**14)
+
+    def test_non_positive_size_does_not_hide_an_oversized_one(self):
+        with pytest.raises(ValueError, match="budget"):
+            spectral.check_grid_budget(0, spectral.MAX_GRID_ELEMENTS + 1)
+
+    def test_build_rejects_before_k_grid_or_matrix(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("allocation reached with an over-budget grid")
+
+        monkeypatch.setattr(spectral, "_adaptive_k_grid", unreachable)
+        monkeypatch.setattr(spectral, "_continuum_functions", unreachable)
+        n_k = spectral.MAX_GRID_ELEMENTS // N_R + 1
+        with pytest.raises(ValueError, match=f"grid of {n_k} x {N_R} points exceeds the budget"):
+            build_decomposition(STRONG, 30.0, n_k, R_MAX, N_R)
+
 
 class TestReconstruction:
     def test_bound_state_self_reconstruction(self, attractive_decomp):
@@ -172,6 +226,11 @@ class TestReconstruction:
         # unchecked, a negative width gives the |width| packet and zero a NaN packet
         with pytest.raises(ValueError, match="packet width must be positive"):
             gaussian_packet(2.0, width, R_MAX, N_R)
+
+    def test_unresolved_width_rejected(self):
+        with pytest.raises(ValueError, match="packet width 0.002 is below the r grid spacing 0.0025"):
+            gaussian_packet(2.0, 0.002, R_MAX, N_R)
+        assert gaussian_packet(2.0, 0.0025, R_MAX, N_R).values[800] == 1.0
 
     def test_tail_precondition(self, strong_decomp):
         packet = gaussian_packet(9.0, 0.5, R_MAX, N_R)
