@@ -231,8 +231,8 @@ def _run_evolve(args) -> None:
 def _run_spectral(args) -> None:
     model = scattering.DeltaShellModel(g=args.g, a=args.a)
     _, center, width = args.packet
-    # the grid budget, then the packet, are checked before the build allocates its matrix
-    spectral.check_grid_budget(args.nk, args.nr)
+    # the grid, then the packet, are checked before anything of the grid's size allocates
+    spectral._check_grid(model, args.kmax, args.nk, args.rmax, args.nr)
     packet = spectral.gaussian_packet(center, width, args.rmax, args.nr)
     decomp = spectral.build_decomposition(model, args.kmax, args.nk, args.rmax, args.nr)
     rebuilt = spectral.reconstruct(decomp, packet)

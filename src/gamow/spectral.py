@@ -3,10 +3,15 @@
 Completeness (bound states + continuum) is realized numerically: a packet
 phi(r) on [0, r_max] is expanded over the normalized bound eigenfunctions
 and the real continuum solutions u_k(r) with asymptotic amplitude one,
-u_k(r) -> sin(kr + delta(k)), for which the closure relation carries the
-measure (2/pi) dk:
+u_k(r) = sin(kr + delta(k)) outside the shell, for which the closure
+relation carries the measure (2/pi) dk:
 
     phi(r) = sum_b <u_b|phi> u_b(r) + (2/pi) int dk <u_k|phi> u_k(r).
+
+Inside the shell u_k(r) = sin(kr) / |D(k)|.  Both |D(k)| and the phase
+shift delta(k) come from the Jost function D(k) of scattering.denominator,
+as e^{-ika} conj(D(k)) = |D(k)| e^{i delta(k)} for real k, so the shell's
+matching conditions are written once, in the scattering module.
 
 CONTINUUM_MEASURE below is that 2/pi.  Radial integrals use Simpson weights
 (the shell kink sits harmlessly on a panel edge when a/r_max * (n_r - 1) is
@@ -32,10 +37,11 @@ and conj(f) sum to one exactly.
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
 
-Memory is bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements (1 GiB) per
-grid: the (n_k, n_r) continuum matrix and the Hardy energy grid are rejected
-by check_grid_budget before anything of their size is allocated.  Apart from
-the stored matrix, a build allocates only row-block-sized temporaries.
+Memory is bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements (1 GiB): an
+(n_k, n_r) continuum matrix above it, or n Hardy samples whose work arrays
+(_HARDY_WORK_ARRAYS of n elements) would exceed it, are rejected before
+anything of their size is allocated.  Apart from the stored matrix, a build
+allocates only vectors of length n_k or n_r.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import DeltaShellModel, SearchRegion, bound_states, find_poles
+from .scattering import DeltaShellModel, SearchRegion, bound_states, denominator, find_poles
 
 __all__ = [
     "CONTINUUM_MEASURE",
@@ -73,6 +79,7 @@ END_DECAY_THRESHOLD = 1e-8        # required |f(ends)| / max|f|
 MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
 _BLOCK_ELEMENTS = 2**18           # continuum elements filled per block (2 MiB of float64)
+_HARDY_WORK_ARRAYS = 13           # n-element float64 arrays the Hardy samples + hardy_check hold
 
 
 def check_grid_budget(*shape: int) -> None:
@@ -85,6 +92,19 @@ def check_grid_budget(*shape: int) -> None:
     if math.prod(max(int(n), 1) for n in shape) > MAX_GRID_ELEMENTS:
         raise ValueError(f"grid of {' x '.join(str(n) for n in shape)} points exceeds the budget "
                          f"of {MAX_GRID_ELEMENTS} float64 elements (1 GiB)")
+
+
+def _check_hardy_budget(n: int) -> None:
+    """Raise ValueError when n Hardy samples would take more than MAX_GRID_ELEMENTS.
+
+    The samples plus one hardy_check peak at about 12 float64 arrays of n
+    elements (tracemalloc), so n is charged _HARDY_WORK_ARRAYS times; an n
+    beyond the grid budget itself gets check_grid_budget's message.
+    """
+    check_grid_budget(n)
+    if _HARDY_WORK_ARRAYS * n > MAX_GRID_ELEMENTS:
+        raise ValueError(f"{n} energy samples need about {_HARDY_WORK_ARRAYS} work arrays of that "
+                         f"size, over the budget of {MAX_GRID_ELEMENTS} float64 elements (1 GiB)")
 
 
 @dataclass(frozen=True)
@@ -197,38 +217,30 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 def _continuum_functions(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Real scattering solutions with asymptotic amplitude 1, rows by k.
 
-    Evaluated once per element, by region of the increasing r grid: sin(kr)
-    for r <= a, and outside u = alpha sin(kr) + beta cos(kr) with alpha = 1 +
-    (g/k) sin ka cos ka, beta = -(g/k) sin^2 ka; dividing by sqrt(alpha^2 +
-    beta^2) sets the exterior amplitude to one (1/M inside on resonance).
+    From the Jost function D(k) (scattering.denominator): for real k,
+    e^{-ika} conj(D(k)) = M e^{i delta_k}, where delta_k is the s-wave phase
+    shift (S = e^{2i delta_k}) and M = |D(k)|.  Matching at the shell then
+    gives u_k(r) = sin(kr) / M for r <= a and sin(kr + delta_k) for r > a:
+    one sin per element.
 
     The result is allocated once and filled in place, one block of k rows at a
-    time (about _BLOCK_ELEMENTS elements per block), so the temporaries stay
-    block-sized; each element gets the same operations in the same order as
-    the whole-matrix form, hence the same bits.
+    time (about _BLOCK_ELEMENTS elements per block); apart from it only
+    vectors of length n_k are allocated.  Each element gets the same
+    operations whatever the block size, hence the same bits.
     """
     kc = k[:, None]
-    s = np.sin(kc * model.a)
-    c = np.cos(kc * model.a)
-    x = model.g / kc
-    alpha = 1.0 + x * s * c
-    beta = -x * s * s
-    m = np.sqrt(alpha**2 + beta**2)
+    jost = np.exp(-1j * kc * model.a) * np.conj(denominator(model, kc))
+    m, delta = np.abs(jost), np.angle(jost)
     n_in = np.searchsorted(r, model.a, side="right")
-    r_out = r[n_in:]
     out = np.empty((k.size, r.size))
     rows = max(1, _BLOCK_ELEMENTS // r.size)
     for lo in range(0, k.size, rows):
         blk = slice(lo, lo + rows)
-        kb, block, exterior = kc[blk], out[blk], out[blk, n_in:]
-        np.sin(kb * r[:n_in], out=block[:, :n_in])
-        kr = kb * r_out
-        np.sin(kr, out=exterior)
-        exterior *= alpha[blk]
-        np.cos(kr, out=kr)
-        kr *= beta[blk]
-        exterior += kr
-        block /= m[blk]
+        block = out[blk]
+        np.multiply(kc[blk], r, out=block)
+        block[:, n_in:] += delta[blk]
+        np.sin(block, out=block)
+        block[:, :n_in] /= m[blk]
     return out
 
 
@@ -303,6 +315,19 @@ def _adaptive_k_grid(model: DeltaShellModel, k_max: float, n_k: int) -> np.ndarr
     return grid
 
 
+def _check_grid(model: DeltaShellModel, k_max: float, n_k: int, r_max: float, n_r: int) -> None:
+    """Raise ValueError for grid arguments build_decomposition cannot take.
+
+    Checked before anything of the grids' size is allocated: positive sizes
+    (n_k >= 8, n_r >= 3), n_k * n_r within MAX_GRID_ELEMENTS, r_max > 2a.
+    """
+    if k_max <= 0 or r_max <= 0 or n_k < 8 or n_r < 3:
+        raise ValueError("grid parameters must be positive (n_k >= 8, n_r >= 3)")
+    check_grid_budget(n_k, n_r)
+    if r_max <= 2 * model.a:
+        raise ValueError("r_max must exceed the shell radius comfortably (r_max > 2a)")
+
+
 def build_decomposition(
     model: DeltaShellModel,
     k_max: float,
@@ -317,11 +342,7 @@ def build_decomposition(
     element is evaluated once, by region (r <= a, r > a); bound eigenfunctions
     are normalized to unit quadrature norm.
     """
-    if k_max <= 0 or r_max <= 0 or n_k < 8 or n_r < 3:
-        raise ValueError("grid parameters must be positive (n_k >= 8, n_r >= 3)")
-    check_grid_budget(n_k, n_r)
-    if r_max <= 2 * model.a:
-        raise ValueError("r_max must exceed the shell radius comfortably (r_max > 2a)")
+    _check_grid(model, k_max, n_k, r_max, n_r)
     r = np.linspace(0.0, r_max, n_r)
     wr = _simpson_weights(n_r, r[1] - r[0])
 
@@ -407,7 +428,8 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     grid, otherwise the window truncation would fake leakage.  leakage is
     the |F(t)|^2 fraction on the half-line forbidden to the requested class
     (t < 0 for "upper", t > 0 for "lower"); is_member = leakage <
-    HARDY_LEAKAGE_THRESHOLD.  The sample count must be within MAX_GRID_ELEMENTS.
+    HARDY_LEAKAGE_THRESHOLD.  The sample count times _HARDY_WORK_ARRAYS must
+    be within MAX_GRID_ELEMENTS.
     """
     if half_plane not in ("upper", "lower"):
         raise ValueError(f"half_plane must be 'upper' or 'lower', got {half_plane!r}")
@@ -415,7 +437,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     f = np.asarray(values, dtype=complex)
     if e.ndim != 1 or e.size < 16 or f.shape != e.shape:
         raise ValueError("need matching 1-d grids of at least 16 samples")
-    check_grid_budget(e.size)
+    _check_hardy_budget(e.size)
     if e.size % 2:
         raise ValueError(f"need an even number of samples, got {e.size}")
     de = e[1] - e[0]
@@ -458,13 +480,14 @@ def windowed_resonance_samples(
     end-decay precondition of hardy_check on any feasible grid; the envelope
     (width (e_max - e_min)/12.5, centered on e_r) supplies the decay
     while widening the transform's edge at t = 0 by ~1/width.  Returns
-    (energies, samples); n must be within MAX_GRID_ELEMENTS.
+    (energies, samples); n times _HARDY_WORK_ARRAYS must be within
+    MAX_GRID_ELEMENTS.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not e_min < e_r < e_max:
         raise ValueError("the resonance energy must lie inside (e_min, e_max)")
-    check_grid_budget(n)
+    _check_hardy_budget(n)
     envelope_width = (e_max - e_min) / 12.5
     e = np.linspace(e_min, e_max, n, endpoint=False)
     envelope = np.exp(-((e - e_r) ** 2) / (2.0 * envelope_width**2))

@@ -6,9 +6,9 @@ pole positions come from a dense |D| scan with recursive grid refinement
 condition (no bisection helper), and winding counts from a brute-force
 densely sampled contour.
 
-Five exceptions are bit-identity references, kept verbatim from the
-code they replaced: ``scalar_find_poles``, the seed-by-seed Newton search
-that ``find_poles`` ran before it became one array iteration;
+Five exceptions are references kept verbatim from the code they
+replaced: ``scalar_find_poles``, the seed-by-seed Newton search that
+``find_poles`` ran before it became one array iteration;
 ``scalar_amplitude``, the one-time ``cmath`` evaluation of a semigroup law
 that ``dynamics.amplitude`` replaced; ``scalar_phase_shift_curve``, the
 point-by-point branch walk (with its interval bisection) that
@@ -16,7 +16,11 @@ point-by-point branch walk (with its interval bisection) that
 cumulative sum of rounded jumps; and ``where_continuum_functions`` and
 ``where_bound_functions``, the spectral eigenfunctions evaluated on the
 whole r grid for both regions and then selected with ``np.where``, before
-each region was evaluated on its own columns.
+each region was evaluated on its own columns.  All are bit-identity
+references except ``where_continuum_functions``: it keeps the hand-derived
+matching coefficients alpha = 1 + (g/k) sin ka cos ka, beta = -(g/k) sin^2
+ka, while the library now takes M and the phase shift from the Jost
+function, so the two agree to rounding (1e-12 of the largest element).
 """
 
 import cmath

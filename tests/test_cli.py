@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import golden_values
 from gamow import cli, dynamics, scattering, spectral
 from gamow.cli import parse_args, run
 
@@ -122,6 +123,31 @@ class TestErrorMessages:
         assert run(parse_args(["hardy", "--pole", "10,0.1", "--n", str(n)])) == 1
         assert capsys.readouterr().err == (
             f"error: grid of {n} points exceeds the budget of 134217728 float64 elements (1 GiB)\n")
+
+    @pytest.mark.parametrize("grid, message", [
+        (["--nk", "1", "--nr", "1000001"], "grid parameters must be positive (n_k >= 8, n_r >= 3)"),
+        (["--rmax", "2"], "r_max must exceed the shell radius comfortably (r_max > 2a)"),
+    ], ids=["n_k-below-8", "r_max-inside-2a"])
+    def test_spectral_grid_rejected_before_packet(self, capsys, monkeypatch, grid, message):
+        def unreachable(*args):
+            raise AssertionError("packet built before the grid was checked")
+
+        monkeypatch.setattr(spectral, "gaussian_packet", unreachable)
+        argv = ["spectral", "--g", "100", "--a", "1", *grid, "--packet", "gaussian:2,0.4"]
+        assert run(parse_args(argv)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_hardy_footprint_over_budget_rejected_before_any_allocation(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("energy grid allocated with an over-budget --n")
+
+        # the smallest even --n whose samples and checks would hold more than 1 GiB
+        n = 2 * (spectral.MAX_GRID_ELEMENTS // (2 * spectral._HARDY_WORK_ARRAYS) + 1)
+        monkeypatch.setattr(spectral.np, "linspace", unreachable)
+        assert run(parse_args(["hardy", "--pole", "10,0.1", "--n", str(n)])) == 1
+        assert capsys.readouterr().err == (
+            f"error: {n} energy samples need about 13 work arrays of that size, over the budget "
+            "of 134217728 float64 elements (1 GiB)\n")
 
     def test_spectral_reconstructs_once(self, capsys, monkeypatch):
         calls = []
@@ -364,3 +390,29 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("case", GOLDEN["sweeps"]["invocations"], ids=_sweep_case_id)
     def test_wide_phase_sweep_matches_golden_hash(self, case):
         assert _stdout_sha256(case["argv"]) == case["sha256"]
+
+
+class TestGoldenValues:
+    """Every golden invocation prints the fixture's values, parsed in its own format:
+    labels, integers and row counts exactly, other numbers to 1e-12 of their column."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(case["argv"], id=f"{i:02d}-{case['argv'][0]}-{parse_args(case['argv']).format}")
+        for i, case in enumerate(golden_values.CASES)])
+    def test_values_match_fixture(self, argv):
+        assert golden_values.check(argv, golden_values.cli_stdout(argv)) == []
+
+    POLES_CSV = ["poles", "--g", "100", "--a", "1", "--re", "0,10", "--im=-2,0", "--format", "csv"]
+
+    def test_a_1e_9_move_fails(self):
+        lines = golden_values.cli_stdout(self.POLES_CSV).splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[2] = f"{float(cells[2]) * (1 + 1e-9):.12g}"
+        lines[1] = ",".join(cells)
+        problems = golden_values.check(self.POLES_CSV, "".join(lines))
+        assert len(problems) == 1 and problems[0].startswith("e_r: 9.67537623828 vs 9.6753762286")
+
+    def test_a_dropped_row_fails(self):
+        text = golden_values.cli_stdout(self.POLES_CSV)
+        assert golden_values.check(self.POLES_CSV, text[:text.rindex("\n", 0, -1) + 1]) == [
+            "3 lines or leaves, fixture has 4"]

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from gamow.spectral import (
 )
 from gamow import spectral
 from gamow.spectral import _adaptive_k_grid
-from oracles import where_bound_functions, where_continuum_functions
+from oracles import shell_denominator, where_bound_functions, where_continuum_functions
 
 R_MAX, N_R = 10.0, 4001
 ATTRACTIVE = DeltaShellModel(g=-5.0, a=1.0)
@@ -94,7 +95,8 @@ class TestDecomposition:
 
 
 class TestPiecewiseEigenfunctions:
-    """Each region evaluated on its own columns equals the np.where form exactly."""
+    """Each region evaluated on its own columns agrees with the np.where form: the bound
+    eigenfunctions exactly, the continuum (now from the Jost function) to 1e-12."""
 
     @pytest.mark.parametrize("g, a", [
         (100.0, 1.0), (-5.0, 1.0), (0.5, 1.0),
@@ -106,8 +108,8 @@ class TestPiecewiseEigenfunctions:
         decomp = build_decomposition(model, k_max=30.0, n_k=500, r_max=R_MAX, n_r=N_R)
         # a = 1 is node 400 of the grid (that column stays inside); 1.2345 falls between
         assert (a in decomp.r) == (a == 1.0)
-        assert np.array_equal(decomp.continuum,
-                              where_continuum_functions(model, decomp.k, decomp.r))
+        where = where_continuum_functions(model, decomp.k, decomp.r)
+        assert np.max(np.abs(decomp.continuum - where)) <= 1e-12 * np.max(np.abs(where))
         expected = where_bound_functions(model, decomp.r, decomp.r_weights)
         assert len(decomp.discrete) == len(expected) == (1 if g * a < -1 else 0)
         for (energy, u), (energy_ref, u_ref) in zip(decomp.discrete, expected):
@@ -131,7 +133,7 @@ class TestPiecewiseEigenfunctions:
         (131, R_MAX, N_R), (40, R_MAX, N_R), (3, 8.0, 2**18 + 1),
     ], ids=["partial-last-block", "one-short-block", "one-row-blocks"])
     @pytest.mark.parametrize("g, a", [(100.0, 1.0), (-5.0, 1.2345)], ids=["node", "between"])
-    def test_block_build_matches_where_form(self, n_k, r_max, n_r, g, a):
+    def test_block_build_matches_where_form(self, monkeypatch, n_k, r_max, n_r, g, a):
         rows = max(1, spectral._BLOCK_ELEMENTS // n_r)
         assert n_k % rows != 0 or rows == 1
         model = DeltaShellModel(g=g, a=a)
@@ -139,8 +141,13 @@ class TestPiecewiseEigenfunctions:
         r = np.linspace(0.0, r_max, n_r)
         # a = 1 is a node of both r grids (r_max / (n_r - 1) = 2^-15 on the wide one)
         assert (a in r) == (a == 1.0)
-        assert np.array_equal(spectral._continuum_functions(model, k, r),
-                              where_continuum_functions(model, k, r))
+        blocked = spectral._continuum_functions(model, k, r)
+        # the block size changes no bit: one-row blocks, then the whole matrix as one block
+        for budget in (1, n_k * n_r):
+            monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", budget)
+            assert np.array_equal(spectral._continuum_functions(model, k, r), blocked)
+        where = where_continuum_functions(model, k, r)
+        assert np.max(np.abs(blocked - where)) <= 1e-12 * np.max(np.abs(where))
 
     def test_build_peak_memory_is_about_one_matrix(self):
         # whole-matrix temporaries held 3.7 matrices, and the copy into the record one more
@@ -158,6 +165,41 @@ class TestPiecewiseEigenfunctions:
             strong_decomp.continuum[0, 0] = 0.0
         for _, u in build_decomposition(ATTRACTIVE, 30.0, 64, R_MAX, 401).discrete:
             assert not u.flags.writeable
+
+
+def _mp_continuum(model, k, r):
+    """u_k(r) at 50 digits from the hand-derived matching formula: alpha = 1 + (g/k) sin ka
+    cos ka, beta = -(g/k) sin^2 ka; sin(kr)/sqrt(alpha^2 + beta^2) inside, sin(kr +
+    atan2(beta, alpha)) outside."""
+    with mpmath.workdps(50):
+        g, a, k, r = (mpmath.mpf(float(v)) for v in (model.g, model.a, k, r))
+        x, s, c = g / k, mpmath.sin(k * a), mpmath.cos(k * a)
+        alpha, beta = 1 + x * s * c, -x * s * s
+        if r <= a:
+            return float(mpmath.sin(k * r) / mpmath.sqrt(alpha**2 + beta**2))
+        return float(mpmath.sin(k * r + mpmath.atan2(beta, alpha)))
+
+
+class TestContinuumPrecision:
+    """Sampled continuum elements against a 50-digit mpmath reference."""
+
+    @pytest.mark.parametrize("g, a", [
+        (100.0, 1.0), (-5.0, 1.2345), (1e4, 1.0), (-1.0001, 1.0), (1e-6, 1.0),
+    ], ids=["strong", "attractive-between", "g1e4", "near-threshold", "weak"])
+    def test_sampled_elements_match_50_digits(self, g, a):
+        model = DeltaShellModel(g=g, a=a)
+        k = _adaptive_k_grid(model, 30.0, 500)
+        r = np.linspace(0.0, R_MAX, N_R)
+        u = spectral._continuum_functions(model, k, r)
+        rng = np.random.default_rng(8)
+        # 300 random elements, plus 40 across the row nearest a zero of D (a resonance,
+        # where the inside amplitude 1/|D| peaks: about 3e3 at g = 1e4)
+        near = int(np.argmin(np.abs(shell_denominator(g, a, k))))
+        rows = np.concatenate([rng.integers(0, k.size, 300), np.full(40, near)])
+        cols = np.concatenate([rng.integers(0, N_R, 300), np.linspace(0, N_R - 1, 40, dtype=int)])
+        ref = np.array([_mp_continuum(model, k[i], r[j]) for i, j in zip(rows, cols)])
+        # on this sample the largest error is 6.8e-14 x max|u| (g = 1e4; np.where form 4.0e-14)
+        assert np.max(np.abs(u[rows, cols] - ref)) <= 2e-13 * np.max(np.abs(u))
 
 
 class TestGridBudget:
@@ -179,6 +221,27 @@ class TestGridBudget:
         n_k = spectral.MAX_GRID_ELEMENTS // N_R + 1
         with pytest.raises(ValueError, match=f"grid of {n_k} x {N_R} points exceeds the budget"):
             build_decomposition(STRONG, 30.0, n_k, R_MAX, N_R)
+
+    def test_hardy_budget_charges_its_work_arrays(self):
+        limit = spectral.MAX_GRID_ELEMENTS // spectral._HARDY_WORK_ARRAYS
+        spectral._check_hardy_budget(limit)
+        with pytest.raises(ValueError, match=f"{limit + 1} energy samples need about 13 work"):
+            spectral._check_hardy_budget(limit + 1)
+        with pytest.raises(ValueError, match=f"grid of {spectral.MAX_GRID_ELEMENTS + 1} points exceeds"):
+            spectral._check_hardy_budget(spectral.MAX_GRID_ELEMENTS + 1)
+
+    def test_hardy_path_peak_within_its_work_arrays(self):
+        # what gamow hardy holds: the samples, then both half-plane checks
+        n = 2**14
+        tracemalloc.start()
+        try:
+            e, f = windowed_resonance_samples(10.0, 0.1, -990.0, 1010.0, n)
+            for half_plane in ("upper", "lower"):
+                hardy_check(e, f, half_plane)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= spectral._HARDY_WORK_ARRAYS * n * 8
 
 
 class TestReconstruction:
