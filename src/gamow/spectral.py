@@ -37,11 +37,18 @@ and conj(f) sum to one exactly.
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
 
-Memory is bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements (1 GiB): an
-(n_k, n_r) continuum matrix above it, or n Hardy samples whose work arrays
-(_HARDY_WORK_ARRAYS of n elements) would exceed it, are rejected before
-anything of their size is allocated.  Apart from the stored matrix, a build
-allocates only vectors of length n_k or n_r.
+The continuum is computed in row blocks of about _BLOCK_ELEMENTS elements.
+build_decomposition stores every block in one (n_k, n_r) matrix, for callers
+that expand many packets on one grid; `gamow spectral` rebuilds its one
+packet from each block in turn and holds only one.  Both sum the blocks in
+the same order, so they agree bit for bit.  Apart from the blocks, only
+vectors of length n_k or n_r are allocated.
+
+Work and memory are bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements
+(1 GiB): an (n_k, n_r) grid above it (the stored matrix, or the elements the
+stream computes), or n Hardy samples whose work arrays (_HARDY_WORK_ARRAYS of
+n elements) would exceed it, are rejected before anything of their size is
+allocated.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ END_DECAY_THRESHOLD = 1e-8        # required |f(ends)| / max|f|
 MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
 _BLOCK_ELEMENTS = 2**18           # continuum elements filled per block (2 MiB of float64)
-_HARDY_WORK_ARRAYS = 13           # n-element float64 arrays the Hardy samples + hardy_check hold
+_HARDY_WORK_ARRAYS = 8            # n-element float64 arrays the Hardy samples + hardy_check hold
 
 
 def check_grid_budget(*shape: int) -> None:
@@ -97,7 +104,7 @@ def check_grid_budget(*shape: int) -> None:
 def _check_hardy_budget(n: int) -> None:
     """Raise ValueError when n Hardy samples would take more than MAX_GRID_ELEMENTS.
 
-    The samples plus one hardy_check peak at about 12 float64 arrays of n
+    The samples plus one hardy_check peak at about 7 float64 arrays of n
     elements (tracemalloc), so n is charged _HARDY_WORK_ARRAYS times; an n
     beyond the grid budget itself gets check_grid_budget's message.
     """
@@ -214,33 +221,52 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _continuum_functions(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Real scattering solutions with asymptotic amplitude 1, rows by k.
+def _row_blocks(n_k: int, n_r: int):
+    """Slices of max(1, _BLOCK_ELEMENTS // n_r) k rows (the last may be shorter): the
+    unit of continuum work, the same for the stored matrix and the stream."""
+    rows = max(1, _BLOCK_ELEMENTS // n_r)
+    for lo in range(0, n_k, rows):
+        yield slice(lo, min(lo + rows, n_k))
+
+
+def _continuum_blocks(model: DeltaShellModel, k: np.ndarray, r: np.ndarray, out=None):
+    """Yield (rows, block): the real scattering solutions u_k(r) of k[rows].
 
     From the Jost function D(k) (scattering.denominator): for real k,
     e^{-ika} conj(D(k)) = M e^{i delta_k}, where delta_k is the s-wave phase
     shift (S = e^{2i delta_k}) and M = |D(k)|.  Matching at the shell then
     gives u_k(r) = sin(kr) / M for r <= a and sin(kr + delta_k) for r > a:
-    one sin per element.
+    one sin per element, with asymptotic amplitude 1.
 
-    The result is allocated once and filled in place, one block of k rows at a
-    time (about _BLOCK_ELEMENTS elements per block); apart from it only
-    vectors of length n_k are allocated.  Each element gets the same
+    With out (shape (len(k), len(r))) each block is filled in place as a view
+    of out.  Without it one buffer of a block's size is refilled, so a block
+    is valid only until the next one is drawn.  Each element gets the same
     operations whatever the block size, hence the same bits.
     """
     kc = k[:, None]
     jost = np.exp(-1j * kc * model.a) * np.conj(denominator(model, kc))
     m, delta = np.abs(jost), np.angle(jost)
     n_in = np.searchsorted(r, model.a, side="right")
-    out = np.empty((k.size, r.size))
-    rows = max(1, _BLOCK_ELEMENTS // r.size)
-    for lo in range(0, k.size, rows):
-        blk = slice(lo, lo + rows)
-        block = out[blk]
-        np.multiply(kc[blk], r, out=block)
-        block[:, n_in:] += delta[blk]
+    if out is None:
+        buffer = np.empty((next(_row_blocks(k.size, r.size)).stop, r.size))
+    for rows in _row_blocks(k.size, r.size):
+        block = buffer[:rows.stop - rows.start] if out is None else out[rows]
+        np.multiply(kc[rows], r, out=block)
+        block[:, n_in:] += delta[rows]
         np.sin(block, out=block)
-        block[:, :n_in] /= m[blk]
+        block[:, :n_in] /= m[rows]
+        yield rows, block
+
+
+def _continuum_functions(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The continuum matrix, rows by k: every block of _continuum_blocks, stored.
+
+    The result is allocated once and filled in place; apart from it only
+    vectors of length n_k are allocated.
+    """
+    out = np.empty((k.size, r.size))
+    for _ in _continuum_blocks(model, k, r, out):
+        pass
     return out
 
 
@@ -328,19 +354,22 @@ def _check_grid(model: DeltaShellModel, k_max: float, n_k: int, r_max: float, n_
         raise ValueError("r_max must exceed the shell radius comfortably (r_max > 2a)")
 
 
-def build_decomposition(
-    model: DeltaShellModel,
-    k_max: float,
-    n_k: int,
-    r_max: float,
-    n_r: int,
-) -> SpectralDecomposition:
-    """Assemble bound and continuum eigendata on radial/momentum grids.
+@dataclass(frozen=True)
+class _Grids:
+    """What a decomposition holds apart from its continuum matrix (same field names)."""
 
-    n_r must be odd (Simpson weights), and n_k * n_r within MAX_GRID_ELEMENTS
-    (checked before the k-grid pole search or the matrix allocates).  Each
-    element is evaluated once, by region (r <= a, r > a); bound eigenfunctions
-    are normalized to unit quadrature norm.
+    r: np.ndarray
+    r_weights: np.ndarray
+    k: np.ndarray
+    k_weights: np.ndarray
+    discrete: tuple
+
+
+def _build_grids(model: DeltaShellModel, k_max: float, n_k: int, r_max: float,
+                 n_r: int) -> _Grids:
+    """The r grid, its Simpson weights, the bound states, the k grid and its weights.
+
+    _check_grid runs first; only vectors of length n_k or n_r are allocated.
     """
     _check_grid(model, k_max, n_k, r_max, n_r)
     r = np.linspace(0.0, r_max, n_r)
@@ -357,27 +386,36 @@ def build_decomposition(
 
     k = _adaptive_k_grid(model, k_max, n_k)
     wk = _trapezoid_weights(k) * CONTINUUM_MEASURE
-    cont = _continuum_functions(model, k, r)
-
-    return SpectralDecomposition(
-        model=model,
-        r=r,
-        r_weights=wr,
-        k=k,
-        k_weights=wk,
-        discrete=tuple((e, u) for e, u in discrete),
-        continuum=cont,
-    )
+    return _Grids(r=r, r_weights=wr, k=k, k_weights=wk, discrete=tuple(discrete))
 
 
-def _check_packet(decomp: SpectralDecomposition, packet: WavePacket) -> np.ndarray:
-    if packet.n_points != decomp.r.size or packet.r_max != decomp.r[-1]:
+def build_decomposition(
+    model: DeltaShellModel,
+    k_max: float,
+    n_k: int,
+    r_max: float,
+    n_r: int,
+) -> SpectralDecomposition:
+    """Assemble bound and continuum eigendata on radial/momentum grids.
+
+    n_r must be odd (Simpson weights), and n_k * n_r within MAX_GRID_ELEMENTS
+    (checked before the k-grid pole search or the matrix allocates).  Each
+    element is evaluated once, by region (r <= a, r > a); bound eigenfunctions
+    are normalized to unit quadrature norm.
+    """
+    grids = _build_grids(model, k_max, n_k, r_max, n_r)
+    cont = _continuum_functions(model, grids.k, grids.r)
+    return SpectralDecomposition(model=model, continuum=cont, **vars(grids))
+
+
+def _check_packet(grids, packet: WavePacket) -> np.ndarray:
+    if packet.n_points != grids.r.size or packet.r_max != grids.r[-1]:
         raise ValueError("packet grid does not match the decomposition grid")
     phi = packet.values
-    total = float(np.sum(decomp.r_weights * phi * phi))
+    total = float(np.sum(grids.r_weights * phi * phi))
     if total > 0:
-        tail_sel = decomp.r > 0.8 * decomp.r[-1]
-        tail = float(np.sum(decomp.r_weights[tail_sel] * phi[tail_sel] ** 2))
+        tail_sel = grids.r > 0.8 * grids.r[-1]
+        tail = float(np.sum(grids.r_weights[tail_sel] * phi[tail_sel] ** 2))
         if tail / total >= _TAIL_MASS_LIMIT:
             raise ValueError(
                 f"packet tail mass {tail / total:.3g} beyond 0.8 r_max exceeds {_TAIL_MASS_LIMIT}"
@@ -394,13 +432,44 @@ def expand(decomp: SpectralDecomposition, packet: WavePacket):
     return discrete_coefs, continuum_coefs
 
 
-def reconstruct(decomp: SpectralDecomposition, packet: WavePacket) -> WavePacket:
-    """Rebuild a packet from its discrete + continuum coefficients."""
-    discrete_coefs, continuum_coefs = expand(decomp, packet)
-    out = decomp.continuum.T @ (decomp.k_weights * continuum_coefs)
-    for cb, (_, u) in zip(discrete_coefs, decomp.discrete):
-        out = out + cb * u
+def _rebuild(grids, packet: WavePacket, blocks) -> WavePacket:
+    """The packet rebuilt from its expansion, one row block of the continuum at a time.
+
+    blocks yields (rows, block) with block = u_{k[rows]} on the r grid; each
+    adds block^T (w_k (block (w_r phi))), then each bound state adds
+    <u_b|phi> u_b.  The same blocks give the same bits, stored or streamed.
+    """
+    phi = _check_packet(grids, packet)
+    weighted = grids.r_weights * phi
+    out = np.zeros(phi.size)
+    for rows, block in blocks:
+        out += block.T @ (grids.k_weights[rows] * (block @ weighted))
+    for _, u in grids.discrete:
+        out += np.sum(weighted * u) * u
     return WavePacket(out, packet.r_max, packet.n_points)
+
+
+def reconstruct(decomp: SpectralDecomposition, packet: WavePacket) -> WavePacket:
+    """Rebuild a packet from its discrete + continuum coefficients.
+
+    The stored matrix is read in the row blocks _stream_reconstruction
+    computes, so both give the same bits.
+    """
+    blocks = ((rows, decomp.continuum[rows]) for rows in _row_blocks(*decomp.continuum.shape))
+    return _rebuild(decomp, packet, blocks)
+
+
+def _stream_reconstruction(model: DeltaShellModel, k_max: float, n_k: int, r_max: float,
+                           n_r: int, packet: WavePacket) -> tuple[_Grids, WavePacket]:
+    """reconstruct(build_decomposition(...), packet), bit for bit, without the matrix.
+
+    Each row block of the continuum is computed, used and overwritten, so
+    memory is one block plus vectors of length n_k or n_r; the n_k * n_r
+    budget of _check_grid bounds the work.  Returns the grids and the
+    rebuilt packet.
+    """
+    grids = _build_grids(model, k_max, n_k, r_max, n_r)
+    return grids, _rebuild(grids, packet, _continuum_blocks(model, grids.k, grids.r))
 
 
 def reconstruct_error(decomp: SpectralDecomposition, packet: WavePacket) -> float:
@@ -408,14 +477,13 @@ def reconstruct_error(decomp: SpectralDecomposition, packet: WavePacket) -> floa
     return _relative_error(decomp, packet, reconstruct(decomp, packet))
 
 
-def _relative_error(decomp: SpectralDecomposition, packet: WavePacket,
-                    rebuilt: WavePacket) -> float:
+def _relative_error(grids, packet: WavePacket, rebuilt: WavePacket) -> float:
     """Relative L2 distance of rebuilt from packet (0 for the zero packet)."""
     diff = packet.values - rebuilt.values
-    norm2 = float(np.sum(decomp.r_weights * packet.values**2))
+    norm2 = float(np.sum(grids.r_weights * packet.values**2))
     if norm2 == 0.0:
         return 0.0
-    err2 = float(np.sum(decomp.r_weights * diff * diff))
+    err2 = float(np.sum(grids.r_weights * diff * diff))
     return float(np.sqrt(err2 / norm2))
 
 
@@ -454,15 +522,28 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
         )
 
     n = e.size
-    # t grid offset by half a bin: for even n no sample at t = 0, symmetric under t -> -t
+    # t grid offset by half a bin: for even n no sample at t = 0, symmetric under t -> -t,
+    # and t < 0 exactly on the first n/2 samples
     dt = 2.0 * np.pi / (n * de)
-    t = (np.arange(n) - n / 2 + 0.5) * dt
-    twiddle = np.exp(FOURIER_KERNEL_SIGN * 2j * np.pi * np.arange(n) * (-n / 2 + 0.5) / n)
-    transform = de * np.exp(FOURIER_KERNEL_SIGN * 1j * e[0] * t) * np.fft.fft(f * twiddle)
-    energy = np.abs(transform) ** 2
+    # transform = de e^{-i e0 t} FFT(f e^{-2 pi i j (1/2 - n/2) / n}), folded in place; the
+    # phase factor comes first, so that t is gone before the twiddle is built
+    phase = np.multiply(FOURIER_KERNEL_SIGN * 1j * e[0], (np.arange(n) - n / 2 + 0.5) * dt)
+    np.exp(phase, out=phase)
+    np.multiply(de, phase, out=phase)
+    transform = np.arange(n, dtype=complex)
+    np.multiply(FOURIER_KERNEL_SIGN * 2j * np.pi, transform, out=transform)
+    np.multiply(transform, -n / 2 + 0.5, out=transform)
+    np.divide(transform, n, out=transform)
+    np.exp(transform, out=transform)
+    np.multiply(f, transform, out=transform)
+    np.fft.fft(transform, out=transform)
+    np.multiply(phase, transform, out=transform)
+    del phase
+    energy = np.abs(transform)
+    np.square(energy, out=energy)
     total = float(energy.sum())
-    forbidden = t < 0 if half_plane == "upper" else t > 0
-    leakage = float(energy[forbidden].sum() / total)
+    forbidden = energy[:n // 2] if half_plane == "upper" else energy[n // 2:]
+    leakage = float(forbidden.sum() / total)
     return HardyReport(half_plane=half_plane, leakage=leakage,
                        is_member=leakage < HARDY_LEAKAGE_THRESHOLD)
 

@@ -9,6 +9,7 @@ import numbers
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,16 +147,24 @@ class TestErrorMessages:
         monkeypatch.setattr(spectral.np, "linspace", unreachable)
         assert run(parse_args(["hardy", "--pole", "10,0.1", "--n", str(n)])) == 1
         assert capsys.readouterr().err == (
-            f"error: {n} energy samples need about 13 work arrays of that size, over the budget "
+            f"error: {n} energy samples need about 8 work arrays of that size, over the budget "
             "of 134217728 float64 elements (1 GiB)\n")
 
-    def test_spectral_reconstructs_once(self, capsys, monkeypatch):
-        calls = []
-        expand = spectral.expand
-        monkeypatch.setattr(spectral, "expand", lambda *args: calls.append(args) or expand(*args))
-        assert run(parse_args(self.SPECTRAL + ["--packet", "gaussian:3,0.5"])) == 0
-        assert len(calls) == 1
+    def test_spectral_streams_without_the_matrix(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("gamow spectral built the stored continuum matrix")
+
+        monkeypatch.setattr(spectral, "build_decomposition", unreachable)
+        argv = ["spectral", "--g", "100", "--a", "1", "--packet", "gaussian:2,0.4"]
+        tracemalloc.start()
+        try:
+            assert run(parse_args(argv)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert "relative L2 reconstruction error" in capsys.readouterr().out
+        # the default grid's matrix would be 2000 x 4001 float64 elements (64 MB)
+        assert peak <= 0.1 * 2000 * 4001 * 8
 
 
 class TestBenchContract:

@@ -167,6 +167,32 @@ class TestPiecewiseEigenfunctions:
             assert not u.flags.writeable
 
 
+class TestStreamedReconstruction:
+    """gamow spectral rebuilds its packet from one computed row block at a time; the
+    stored matrix, read in the same blocks, gives the same bits."""
+
+    # 65 rows per block at n_r = 4001, so n_k = 131 leaves a one-row last block
+    @pytest.mark.parametrize("block_elements", [spectral._BLOCK_ELEMENTS, 1],
+                             ids=["partial-last-block", "one-row-blocks"])
+    @pytest.mark.parametrize("g, a", [(100.0, 1.0), (-5.0, 1.0), (-5.0, 1.2345)],
+                             ids=["node", "bound-node", "bound-between"])
+    def test_stream_matches_stored(self, monkeypatch, block_elements, g, a):
+        monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", block_elements)
+        model = DeltaShellModel(g=g, a=a)
+        packet = gaussian_packet(2.0, 0.4, R_MAX, N_R)
+        decomp = build_decomposition(model, 30.0, 131, R_MAX, N_R)
+        assert (a in decomp.r) == (a == 1.0)
+        assert len(decomp.discrete) == (1 if g < 0 else 0)
+        grids, streamed = spectral._stream_reconstruction(model, 30.0, 131, R_MAX, N_R, packet)
+        assert np.array_equal(grids.k, decomp.k)
+        assert np.array_equal(streamed.values, reconstruct(decomp, packet).values)
+
+    def test_stream_checks_the_packet_tail(self):
+        packet = gaussian_packet(9.0, 0.5, R_MAX, N_R)
+        with pytest.raises(ValueError, match="tail"):
+            spectral._stream_reconstruction(STRONG, 30.0, 64, R_MAX, N_R, packet)
+
+
 def _mp_continuum(model, k, r):
     """u_k(r) at 50 digits from the hand-derived matching formula: alpha = 1 + (g/k) sin ka
     cos ka, beta = -(g/k) sin^2 ka; sin(kr)/sqrt(alpha^2 + beta^2) inside, sin(kr +
@@ -225,7 +251,7 @@ class TestGridBudget:
     def test_hardy_budget_charges_its_work_arrays(self):
         limit = spectral.MAX_GRID_ELEMENTS // spectral._HARDY_WORK_ARRAYS
         spectral._check_hardy_budget(limit)
-        with pytest.raises(ValueError, match=f"{limit + 1} energy samples need about 13 work"):
+        with pytest.raises(ValueError, match=f"{limit + 1} energy samples need about 8 work"):
             spectral._check_hardy_budget(limit + 1)
         with pytest.raises(ValueError, match=f"grid of {spectral.MAX_GRID_ELEMENTS + 1} points exceeds"):
             spectral._check_hardy_budget(spectral.MAX_GRID_ELEMENTS + 1)
