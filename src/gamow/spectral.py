@@ -526,17 +526,22 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     # and t < 0 exactly on the first n/2 samples
     dt = 2.0 * np.pi / (n * de)
     # transform = de e^{-i e0 t} FFT(f e^{-2 pi i j (1/2 - n/2) / n}), folded in place; the
-    # phase factor comes first, so that t is gone before the twiddle is built
-    phase = np.multiply(FOURIER_KERNEL_SIGN * 1j * e[0], (np.arange(n) - n / 2 + 0.5) * dt)
-    np.exp(phase, out=phase)
-    np.multiply(de, phase, out=phase)
+    # FFT returns a new array, so the phase factor is built after it, in one complex array
+    # whose t has exact zero imaginary parts (so each element matches a float t cast to complex)
     transform = np.arange(n, dtype=complex)
     np.multiply(FOURIER_KERNEL_SIGN * 2j * np.pi, transform, out=transform)
     np.multiply(transform, -n / 2 + 0.5, out=transform)
     np.divide(transform, n, out=transform)
     np.exp(transform, out=transform)
     np.multiply(f, transform, out=transform)
-    np.fft.fft(transform, out=transform)
+    transform = np.fft.fft(transform)
+    phase = np.arange(n, dtype=complex)
+    np.subtract(phase, n / 2, out=phase)
+    np.add(phase, 0.5, out=phase)
+    np.multiply(phase, dt, out=phase)
+    np.multiply(FOURIER_KERNEL_SIGN * 1j * e[0], phase, out=phase)
+    np.exp(phase, out=phase)
+    np.multiply(de, phase, out=phase)
     np.multiply(phase, transform, out=transform)
     del phase
     energy = np.abs(transform)

@@ -106,7 +106,7 @@ class TestErrorMessages:
         def unreachable(*args):
             raise AssertionError("allocation reached with an over-budget grid")
 
-        for name in ("gaussian_packet", "_adaptive_k_grid", "_continuum_functions"):
+        for name in ("gaussian_packet", "_adaptive_k_grid", "_continuum_blocks"):
             monkeypatch.setattr(spectral, name, unreachable)
         n_k = spectral.MAX_GRID_ELEMENTS // 4001 + 1
         argv = ["spectral", "--g", "100", "--a", "1", "--nk", str(n_k), "--packet", "gaussian:2,0.4"]
