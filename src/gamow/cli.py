@@ -18,6 +18,12 @@ from . import dynamics, reps, scattering, spectral
 
 __all__ = ["parse_args", "run", "main"]
 
+# float64 arrays of the grid's size each subcommand holds per grid point: its
+# tracemalloc peak at 2^14 points (json output, the largest) plus one, rounded up
+_POLES_WORK_ARRAYS = 22
+_PHASE_WORK_ARRAYS = 182
+_EVOLVE_WORK_ARRAYS = 223
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
@@ -178,6 +184,7 @@ def _run_reps(args) -> None:
 
 def _run_poles(args) -> None:
     model = scattering.DeltaShellModel(g=args.g, a=args.a)
+    spectral._check_work_budget(args.seeds, _POLES_WORK_ARRAYS, "seeds")
     region = scattering.SearchRegion(*args.re, *args.im, n_re=args.seeds[0], n_im=args.seeds[1])
     poles = scattering.find_poles(model, region)
     header = ["re_k", "im_k", "e_r", "gamma", "abs_denominator"]
@@ -197,6 +204,7 @@ def _run_phase(args) -> None:
     model = scattering.DeltaShellModel(g=args.g, a=args.a)
     if args.n < 2:
         raise ValueError("need at least 2 grid points")
+    spectral._check_work_budget((args.n,), _PHASE_WORK_ARRAYS, "energy points")
     energies = np.linspace(args.emin, args.emax, args.n)
     delta = scattering.phase_shift_curve(model, energies)
     s2 = np.sin(delta) ** 2
@@ -211,6 +219,7 @@ def _run_evolve(args) -> None:
     law = dynamics.Law.from_code(args.law)
     if args.n < 1:
         raise ValueError("need at least 1 sample")
+    spectral._check_work_budget((args.n,), _EVOLVE_WORK_ARRAYS, "time samples")
     times = np.linspace(args.t0, args.t1, args.n) if args.n > 1 else np.array([args.t0])
     state = dynamics.GamowState(pole=pole, kind=law.kind, regime=law.regime)
     samples = dynamics.evolution_series(state, times)

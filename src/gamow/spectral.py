@@ -42,13 +42,18 @@ build_decomposition stores every block in one (n_k, n_r) matrix, for callers
 that expand many packets on one grid; `gamow spectral` rebuilds its one
 packet from each block in turn and holds only one.  Both sum the blocks in
 the same order, so they agree bit for bit.  Apart from the blocks, only
-vectors of length n_k or n_r are allocated.
+vectors of length n_k or n_r (and per-block factors of about 2 n_r / 64
+elements a row) are allocated.  The r grid is uniform, so within each
+region (r <= a, r > a) a row is filled in groups of _GROUP_COLUMNS = 64
+columns by the angle-addition identity: 2 (n_groups + 64) transcendentals
+per row plus one sin per leftover column (285 at n_r = 4001, a = 1), not one
+sin per element (4001).
 
 Work and memory are bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements
 (1 GiB): an (n_k, n_r) grid above it (the stored matrix, or the elements the
 stream computes), or n Hardy samples whose work arrays (_HARDY_WORK_ARRAYS of
 n elements) would exceed it, are rejected before anything of their size is
-allocated.
+allocated; the CLI charges its phase, evolve and poles grids the same way.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ END_DECAY_THRESHOLD = 1e-8        # required |f(ends)| / max|f|
 MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
 _BLOCK_ELEMENTS = 2**18           # continuum elements filled per block (2 MiB of float64)
+_GROUP_COLUMNS = 64               # continuum columns per angle-addition group
 _HARDY_WORK_ARRAYS = 8            # n-element float64 arrays the Hardy samples + hardy_check hold
 
 
@@ -101,17 +107,20 @@ def check_grid_budget(*shape: int) -> None:
                          f"of {MAX_GRID_ELEMENTS} float64 elements (1 GiB)")
 
 
-def _check_hardy_budget(n: int) -> None:
-    """Raise ValueError when n Hardy samples would take more than MAX_GRID_ELEMENTS.
+def _check_work_budget(shape: tuple[int, ...], arrays: int, what: str) -> None:
+    """Raise ValueError when `arrays` float64 arrays of a grid of this shape would take
+    more than MAX_GRID_ELEMENTS.
 
-    The samples plus one hardy_check peak at about 7 float64 arrays of n
-    elements (tracemalloc), so n is charged _HARDY_WORK_ARRAYS times; an n
-    beyond the grid budget itself gets check_grid_budget's message.
+    Each path charges the tracemalloc peak of its run per grid point, rounded
+    up (the Hardy samples plus one hardy_check hold about 7 arrays of n
+    elements, so they are charged _HARDY_WORK_ARRAYS); a shape beyond the
+    grid budget itself gets check_grid_budget's message.
     """
-    check_grid_budget(n)
-    if _HARDY_WORK_ARRAYS * n > MAX_GRID_ELEMENTS:
-        raise ValueError(f"{n} energy samples need about {_HARDY_WORK_ARRAYS} work arrays of that "
-                         f"size, over the budget of {MAX_GRID_ELEMENTS} float64 elements (1 GiB)")
+    check_grid_budget(*shape)
+    if arrays * math.prod(max(int(n), 1) for n in shape) > MAX_GRID_ELEMENTS:
+        raise ValueError(f"{' x '.join(str(n) for n in shape)} {what} need about {arrays} work "
+                         f"arrays of that size, over the budget of {MAX_GRID_ELEMENTS} float64 "
+                         "elements (1 GiB)")
 
 
 @dataclass(frozen=True)
@@ -235,26 +244,52 @@ def _continuum_blocks(model: DeltaShellModel, k: np.ndarray, r: np.ndarray, out=
     From the Jost function D(k) (scattering.denominator): for real k,
     e^{-ika} conj(D(k)) = M e^{i delta_k}, where delta_k is the s-wave phase
     shift (S = e^{2i delta_k}) and M = |D(k)|.  Matching at the shell then
-    gives u_k(r) = sin(kr) / M for r <= a and sin(kr + delta_k) for r > a:
-    one sin per element, with asymptotic amplitude 1.
+    gives u_k(r) = sin(kr) / M for r <= a and sin(kr + delta_k) for r > a,
+    with asymptotic amplitude 1.
+
+    r must be uniform (linspace, spacing h = r[1] - r[0]).  Each region's
+    columns then go in groups of _GROUP_COLUMNS: column lo + B q + s gets
+    sin(theta_q + phi_s) = sin theta_q cos phi_s + cos theta_q sin phi_s, with
+    theta_q = k r[lo + B q] (+ delta_k outside) and phi_s = k s h, as one
+    matmul of [sin theta_q, cos theta_q] (divided by M inside) with
+    [cos phi_s; sin phi_s].  That is 2 (n_groups + B) transcendentals per
+    row, not one per element; the fewer than B columns left at the end of
+    each region get a direct sin.
 
     With out (shape (len(k), len(r))) each block is filled in place as a view
     of out.  Without it one buffer of a block's size is refilled, so a block
-    is valid only until the next one is drawn.  Each element gets the same
+    is valid only until the next one is drawn.  Each row gets the same
     operations whatever the block size, hence the same bits.
     """
     kc = k[:, None]
     jost = np.exp(-1j * kc * model.a) * np.conj(denominator(model, kc))
     m, delta = np.abs(jost), np.angle(jost)
     n_in = np.searchsorted(r, model.a, side="right")
+    offsets = np.arange(_GROUP_COLUMNS) * (r[1] - r[0])
     if out is None:
         buffer = np.empty((next(_row_blocks(k.size, r.size)).stop, r.size))
     for rows in _row_blocks(k.size, r.size):
         block = buffer[:rows.stop - rows.start] if out is None else out[rows]
-        np.multiply(kc[rows], r, out=block)
-        block[:, n_in:] += delta[rows]
-        np.sin(block, out=block)
-        block[:, :n_in] /= m[rows]
+        kr = kc[rows]
+        phi = kr * offsets
+        rotation = np.empty((kr.size, 2, _GROUP_COLUMNS))
+        np.cos(phi, out=rotation[:, 0])
+        np.sin(phi, out=rotation[:, 1])
+        for lo, hi, shift, scale in ((0, n_in, 0.0, m[rows]), (n_in, r.size, delta[rows], 1.0)):
+            end = hi - (hi - lo) % _GROUP_COLUMNS
+            theta = kr * r[lo:end:_GROUP_COLUMNS] + shift
+            start = np.empty(theta.shape + (2,))
+            np.sin(theta, out=start[..., 0])
+            np.cos(theta, out=start[..., 1])
+            start /= np.reshape(scale, (-1, 1, 1))
+            # a view: splitting the contiguous columns lo:end into groups needs no copy
+            groups = block[:, lo:end].reshape(theta.shape + (_GROUP_COLUMNS,))
+            np.matmul(start, rotation, out=groups)
+            rest = block[:, end:hi]
+            np.multiply(kr, r[end:hi], out=rest)
+            rest += shift
+            np.sin(rest, out=rest)
+            rest /= scale
         yield rows, block
 
 
@@ -505,7 +540,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     f = np.asarray(values, dtype=complex)
     if e.ndim != 1 or e.size < 16 or f.shape != e.shape:
         raise ValueError("need matching 1-d grids of at least 16 samples")
-    _check_hardy_budget(e.size)
+    _check_work_budget((e.size,), _HARDY_WORK_ARRAYS, "energy samples")
     if e.size % 2:
         raise ValueError(f"need an even number of samples, got {e.size}")
     de = e[1] - e[0]
@@ -573,7 +608,7 @@ def windowed_resonance_samples(
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not e_min < e_r < e_max:
         raise ValueError("the resonance energy must lie inside (e_min, e_max)")
-    _check_hardy_budget(n)
+    _check_work_budget((n,), _HARDY_WORK_ARRAYS, "energy samples")
     envelope_width = (e_max - e_min) / 12.5
     e = np.linspace(e_min, e_max, n, endpoint=False)
     envelope = np.exp(-((e - e_r) ** 2) / (2.0 * envelope_width**2))

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import numbers
+import os
 import pathlib
 import subprocess
 import sys
@@ -67,7 +68,8 @@ class TestParsing:
 
 
 class TestErrorMessages:
-    """Each input check lives in the library; the CLI prints its message and exits 1."""
+    """Each input check lives in the library (the budget of the grids the CLI builds from
+    its arguments in the CLI); the CLI prints its message and exits 1."""
 
     SPECTRAL = ["spectral", "--g", "-5", "--a", "1", "--kmax", "5", "--nk", "64",
                 "--rmax", "10", "--nr", "401"]
@@ -165,6 +167,55 @@ class TestErrorMessages:
         assert "relative L2 reconstruction error" in capsys.readouterr().out
         # the default grid's matrix would be 2000 x 4001 float64 elements (64 MB)
         assert peak <= 0.1 * 2000 * 4001 * 8
+
+    # phase and evolve allocate their grid with np.linspace in the CLI, poles its seeds in
+    # find_poles; the first size fails the grid budget itself, the second only its charge
+    GRID_PATHS = {
+        "phase": (["phase", "--g", "100", "--a", "1", "--emin", "1", "--emax", "100", "--n"],
+                  cli._PHASE_WORK_ARRAYS, "energy points", (np, "linspace")),
+        "evolve": (["evolve", "--er", "9.675", "--gamma", "0.0119", "--law", "d0", "--t0", "0",
+                    "--t1", "500", "--n"], cli._EVOLVE_WORK_ARRAYS, "time samples",
+                   (np, "linspace")),
+        "poles": (["poles", "--g", "100", "--a", "1", "--re", "0,20", "--im=-3,0", "--seeds"],
+                  cli._POLES_WORK_ARRAYS, "seeds", (scattering, "find_poles")),
+    }
+
+    @pytest.mark.parametrize("over", ["grid", "work"])
+    @pytest.mark.parametrize("path", list(GRID_PATHS))
+    def test_grid_input_over_budget_rejected_before_any_allocation(self, capsys, monkeypatch,
+                                                                   path, over):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{path} allocated its grid with an over-budget size")
+
+        argv, arrays, what, allocator = self.GRID_PATHS[path]
+        monkeypatch.setattr(*allocator, unreachable)
+        if over == "grid":
+            sizes = ["1048576", "1048576"] if path == "poles" else ["1099511627776"]
+            expected = (f"grid of {' x '.join(sizes)} points exceeds the budget of 134217728 "
+                        "float64 elements (1 GiB)")
+        else:
+            n = spectral.MAX_GRID_ELEMENTS // (2 * arrays if path == "poles" else arrays) + 1
+            sizes = ["2", str(n)] if path == "poles" else [str(n)]
+            expected = (f"{' x '.join(sizes)} {what} need about {arrays} work arrays of that "
+                        "size, over the budget of 134217728 float64 elements (1 GiB)")
+        assert run(parse_args(argv + sizes)) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("path", list(GRID_PATHS))
+    def test_grid_input_peak_within_its_work_arrays(self, path):
+        # json is the largest output; a real stdout encodes it as the null device does
+        argv, arrays, _, _ = self.GRID_PATHS[path]
+        n = 2**14
+        sizes = ["128", "128"] if path == "poles" else [str(n)]
+        args = parse_args(argv + sizes + ["--format", "json"])
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert run(args) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= arrays * n * 8
 
 
 class TestBenchContract:
@@ -399,6 +450,17 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("case", GOLDEN["sweeps"]["invocations"], ids=_sweep_case_id)
     def test_wide_phase_sweep_matches_golden_hash(self, case):
         assert _stdout_sha256(case["argv"]) == case["sha256"]
+
+    def test_blas_threads_change_no_bit(self):
+        # the continuum's angle-addition products and the rebuild run through BLAS
+        argv = ["spectral", "--g", "-5", "--a", "1", "--packet", "gaussian:2,0.4", "--format", "csv"]
+        hashes = set()
+        for threads in ("1", "2"):
+            result = subprocess.run(BASE + argv, capture_output=True, timeout=300,
+                                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert result.returncode == 0
+            hashes.add(hashlib.sha256(result.stdout).hexdigest())
+        assert len(hashes) == 1
 
 
 class TestGoldenValues:

@@ -228,6 +228,43 @@ class TestContinuumPrecision:
         assert np.max(np.abs(u[rows, cols] - ref)) <= 2e-13 * np.max(np.abs(u))
 
 
+class TestAngleAdditionPrecision:
+    """The code paths of the angle-addition fill (groups of _GROUP_COLUMNS columns from
+    sin(theta_q + phi_s), the remainder columns by a direct sin) against 50 digits."""
+
+    @pytest.mark.parametrize("g, a, k_max, n_r", [
+        (100.0, 1.0, 300.0, N_R), (100.0, 1.0, 30.0, 33), (-5.0, 1.2345, 30.0, N_R),
+        (1e4, 1.0, 30.0, N_R),
+    ], ids=["k300-wide-offsets", "n_r33-remainder-only", "between-partial-groups",
+            "g1e4-folded-amplitude"])
+    def test_sampled_elements_match_50_digits(self, g, a, k_max, n_r):
+        model = DeltaShellModel(g=g, a=a)
+        k = _adaptive_k_grid(model, k_max, 500)
+        r = np.linspace(0.0, R_MAX, n_r)
+        u = spectral._continuum_functions(model, k, r)
+        group = spectral._GROUP_COLUMNS
+        n_in = int(np.searchsorted(r, a, side="right"))
+        # what each case exercises
+        if k_max == 300.0:
+            assert k[-1] * (group - 1) * (r[1] - r[0]) > 40.0          # phi_s up to 47 rad
+        if n_r == 33:
+            assert n_in < group and n_r - n_in < group                  # no whole group
+        if a not in r:
+            assert n_in % group and (n_r - n_in) % group                # both end partial
+        near = int(np.argmin(np.abs(shell_denominator(g, a, k))))
+        if g == 1e4:
+            assert np.max(np.abs(u[near, :n_in])) > 1e3                 # 1/M folded in
+        # 300 random elements plus the whole row nearest a zero of D (every offset s of
+        # every group, inside and outside, where the inside amplitude 1/|D| peaks)
+        rng = np.random.default_rng(10)
+        rows = np.concatenate([rng.integers(0, k.size, 300), np.full(n_r, near)])
+        cols = np.concatenate([rng.integers(0, n_r, 300), np.arange(n_r)])
+        ref = np.array([_mp_continuum(model, k[i], r[j]) for i, j in zip(rows, cols)])
+        # largest errors on these samples, x max|u|: 2.8e-15, 3.9e-16, 1.4e-14, 4.3e-14
+        # (one direct sin per element: 6.3e-16, 3.9e-16, 1.0e-14, 4.3e-14)
+        assert np.max(np.abs(u[rows, cols] - ref)) <= 2e-13 * np.max(np.abs(u))
+
+
 class TestGridBudget:
     def test_limit_is_inclusive(self):
         spectral.check_grid_budget(2**13, 2**14)
@@ -249,12 +286,15 @@ class TestGridBudget:
             build_decomposition(STRONG, 30.0, n_k, R_MAX, N_R)
 
     def test_hardy_budget_charges_its_work_arrays(self):
+        def check(n):
+            spectral._check_work_budget((n,), spectral._HARDY_WORK_ARRAYS, "energy samples")
+
         limit = spectral.MAX_GRID_ELEMENTS // spectral._HARDY_WORK_ARRAYS
-        spectral._check_hardy_budget(limit)
+        check(limit)
         with pytest.raises(ValueError, match=f"{limit + 1} energy samples need about 8 work"):
-            spectral._check_hardy_budget(limit + 1)
+            check(limit + 1)
         with pytest.raises(ValueError, match=f"grid of {spectral.MAX_GRID_ELEMENTS + 1} points exceeds"):
-            spectral._check_hardy_budget(spectral.MAX_GRID_ELEMENTS + 1)
+            check(spectral.MAX_GRID_ELEMENTS + 1)
 
     def test_hardy_path_peak_within_its_work_arrays(self):
         # what gamow hardy holds: the samples, then both half-plane checks
