@@ -243,13 +243,13 @@ def _run_spectral(args) -> None:
     # the grid, then the packet, are checked before anything of the grid's size allocates
     spectral._check_grid(model, args.kmax, args.nk, args.rmax, args.nr)
     packet = spectral.gaussian_packet(center, width, args.rmax, args.nr)
-    grids, rebuilt = spectral._stream_reconstruction(model, args.kmax, args.nk, args.rmax,
-                                                     args.nr, packet)
-    error = spectral._relative_error(grids, packet, rebuilt)
-    bound = [e for e, _ in grids.discrete]
+    decomp = spectral.build_decomposition(model, args.kmax, args.nk, args.rmax, args.nr)
+    rebuilt = spectral.reconstruct(decomp, packet)
+    error = spectral._relative_error(decomp, packet, rebuilt)
+    bound = [e for e, _ in decomp.discrete]
     text = [
         f"g = {_fmt(model.g)}, a = {_fmt(model.a)}, k_max = {_fmt(args.kmax)}, "
-        f"n_k = {grids.k.size}, r_max = {_fmt(args.rmax)}, n_r = {args.nr}",
+        f"n_k = {decomp.k.size}, r_max = {_fmt(args.rmax)}, n_r = {args.nr}",
         f"packet: gaussian center = {_fmt(center)}, width = {_fmt(width)}",
         f"bound states: {len(bound)}"
         + ("" if not bound else " (E = " + ", ".join(_fmt(e) for e in bound) + ")"),
@@ -258,11 +258,11 @@ def _run_spectral(args) -> None:
     header = ["r", "input", "reconstructed"]
     rows = [
         [_fmt(r), _fmt(v), _fmt(w)]
-        for r, v, w in zip(grids.r, packet.values, rebuilt.values)
+        for r, v, w in zip(decomp.r, packet.values, rebuilt.values)
     ]
     json_obj = {
         "g": _round12(model.g), "a": _round12(model.a),
-        "k_max": _round12(args.kmax), "n_k": int(grids.k.size),
+        "k_max": _round12(args.kmax), "n_k": int(decomp.k.size),
         "r_max": _round12(args.rmax), "n_r": int(args.nr),
         "packet_center": _round12(center), "packet_width": _round12(width),
         "bound_energies": [_round12(e) for e in bound],

@@ -37,23 +37,22 @@ and conj(f) sum to one exactly.
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
 
-The continuum is computed in row blocks of about _BLOCK_ELEMENTS elements.
-build_decomposition stores every block in one (n_k, n_r) matrix, for callers
-that expand many packets on one grid; `gamow spectral` rebuilds its one
-packet from each block in turn and holds only one.  Both sum the blocks in
-the same order, so they agree bit for bit.  Apart from the blocks, only
-vectors of length n_k or n_r (and per-block factors of about 2 n_r / 64
-elements a row) are allocated.  The r grid is uniform, so within each
-region (r <= a, r > a) a row is filled in groups of _GROUP_COLUMNS = 64
-columns by the angle-addition identity: 2 (n_groups + 64) transcendentals
-per row plus one sin per leftover column (285 at n_r = 4001, a = 1), not one
-sin per element (4001).
+The continuum is never held as its (n_k, n_r) matrix U.  The r grid is
+uniform, so within each region (r <= a, r > a) the columns go in groups of
+_GROUP_COLUMNS = 64 and the angle-addition identity writes every element as
+sin theta_q cos phi_s + cos theta_q sin phi_s (over |D(k)| inside).  A
+decomposition holds those factors: cos phi_s and sin phi_s (n_k x 64), and
+per region sin theta_q and cos theta_q (n_k x groups) plus the direct sin of
+the fewer than 64 leftover columns, O(n_k (n_r / 64 + 64)) elements (4.6 MB
+at n_k = 2000, n_r = 4001, against 64 MB for U).  expand applies U and
+reconstruct U^T, each as matrix products over row blocks of _BLOCK_ROWS k rows.
 
 Work and memory are bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements
-(1 GiB): an (n_k, n_r) grid above it (the stored matrix, or the elements the
-stream computes), or n Hardy samples whose work arrays (_HARDY_WORK_ARRAYS of
-n elements) would exceed it, are rejected before anything of their size is
-allocated; the CLI charges its phase, evolve and poles grids the same way.
+(1 GiB): an (n_k, n_r) grid above it (the elements each application of the
+continuum works through), or n Hardy samples whose work arrays
+(_HARDY_WORK_ARRAYS of n elements) would exceed it, are rejected before
+anything of their size is allocated; the CLI charges its phase, evolve and
+poles grids the same way.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ HARDY_LEAKAGE_THRESHOLD = 1e-4
 END_DECAY_THRESHOLD = 1e-8        # required |f(ends)| / max|f|
 MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
-_BLOCK_ELEMENTS = 2**18           # continuum elements filled per block (2 MiB of float64)
 _GROUP_COLUMNS = 64               # continuum columns per angle-addition group
+_BLOCK_ROWS = 128                 # k rows per product when the continuum is applied
 _HARDY_WORK_ARRAYS = 8            # n-element float64 arrays the Hardy samples + hardy_check hold
 
 
@@ -181,7 +180,9 @@ class SpectralDecomposition:
 
     discrete: tuple of (energy, eigenfunction-on-r-grid) pairs, each with
     unit quadrature norm.  k/k_weights realize the continuum measure
-    (2/pi) dk; continuum has shape (len(k), len(r)).
+    (2/pi) dk.  continuum holds the read-only angle-addition factors of the
+    continuum functions on the k and r grids (see _continuum_factors), not
+    their matrix; expand and reconstruct apply them.
 
     It takes ownership of the arrays it is given: float arrays are kept
     without a copy and made read-only, so a caller must not write to them
@@ -194,10 +195,10 @@ class SpectralDecomposition:
     k: np.ndarray
     k_weights: np.ndarray
     discrete: tuple
-    continuum: np.ndarray
+    continuum: tuple
 
     def __post_init__(self):
-        for name in ("r", "r_weights", "k", "k_weights", "continuum"):
+        for name in ("r", "r_weights", "k", "k_weights"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -230,16 +231,8 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _row_blocks(n_k: int, n_r: int):
-    """Slices of max(1, _BLOCK_ELEMENTS // n_r) k rows (the last may be shorter): the
-    unit of continuum work, the same for the stored matrix and the stream."""
-    rows = max(1, _BLOCK_ELEMENTS // n_r)
-    for lo in range(0, n_k, rows):
-        yield slice(lo, min(lo + rows, n_k))
-
-
-def _continuum_blocks(model: DeltaShellModel, k: np.ndarray, r: np.ndarray, out=None):
-    """Yield (rows, block): the real scattering solutions u_k(r) of k[rows].
+def _continuum_factors(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> tuple:
+    """The angle-addition factors of the real scattering solutions u_k(r).
 
     From the Jost function D(k) (scattering.denominator): for real k,
     e^{-ika} conj(D(k)) = M e^{i delta_k}, where delta_k is the s-wave phase
@@ -248,60 +241,86 @@ def _continuum_blocks(model: DeltaShellModel, k: np.ndarray, r: np.ndarray, out=
     with asymptotic amplitude 1.
 
     r must be uniform (linspace, spacing h = r[1] - r[0]).  Each region's
-    columns then go in groups of _GROUP_COLUMNS: column lo + B q + s gets
+    columns then go in groups of _GROUP_COLUMNS: column lo + B q + s is
     sin(theta_q + phi_s) = sin theta_q cos phi_s + cos theta_q sin phi_s, with
-    theta_q = k r[lo + B q] (+ delta_k outside) and phi_s = k s h, as one
-    matmul of [sin theta_q, cos theta_q] (divided by M inside) with
-    [cos phi_s; sin phi_s].  That is 2 (n_groups + B) transcendentals per
-    row, not one per element; the fewer than B columns left at the end of
-    each region get a direct sin.
-
-    With out (shape (len(k), len(r))) each block is filled in place as a view
-    of out.  Without it one buffer of a block's size is refilled, so a block
-    is valid only until the next one is drawn.  Each row gets the same
-    operations whatever the block size, hence the same bits.
+    theta_q = k r[lo + B q] (+ delta_k outside) and phi_s = k s h, divided by
+    M inside.  Returns (rotation, regions): rotation, shape (n_k, 2, B), holds
+    cos phi_s and sin phi_s; regions holds (lo, end, hi, start, rest) for
+    r <= a and then r > a, where start, shape (n_k, 2, (end - lo) / B), holds
+    sin theta_q / M and cos theta_q / M (M = 1 outside) for columns lo:end,
+    and rest the direct sin of the fewer than B columns end:hi, divided by M.
+    Each array is filled in place and made read-only; apart from them only
+    vectors of length n_k are allocated.
     """
     kc = k[:, None]
     jost = np.exp(-1j * kc * model.a) * np.conj(denominator(model, kc))
     m, delta = np.abs(jost), np.angle(jost)
     n_in = np.searchsorted(r, model.a, side="right")
-    offsets = np.arange(_GROUP_COLUMNS) * (r[1] - r[0])
-    if out is None:
-        buffer = np.empty((next(_row_blocks(k.size, r.size)).stop, r.size))
-    for rows in _row_blocks(k.size, r.size):
-        block = buffer[:rows.stop - rows.start] if out is None else out[rows]
-        kr = kc[rows]
-        phi = kr * offsets
-        rotation = np.empty((kr.size, 2, _GROUP_COLUMNS))
-        np.cos(phi, out=rotation[:, 0])
-        np.sin(phi, out=rotation[:, 1])
-        for lo, hi, shift, scale in ((0, n_in, 0.0, m[rows]), (n_in, r.size, delta[rows], 1.0)):
-            end = hi - (hi - lo) % _GROUP_COLUMNS
-            theta = kr * r[lo:end:_GROUP_COLUMNS] + shift
-            start = np.empty(theta.shape + (2,))
-            np.sin(theta, out=start[..., 0])
-            np.cos(theta, out=start[..., 1])
-            start /= np.reshape(scale, (-1, 1, 1))
-            # a view: splitting the contiguous columns lo:end into groups needs no copy
-            groups = block[:, lo:end].reshape(theta.shape + (_GROUP_COLUMNS,))
-            np.matmul(start, rotation, out=groups)
-            rest = block[:, end:hi]
-            np.multiply(kr, r[end:hi], out=rest)
-            rest += shift
-            np.sin(rest, out=rest)
-            rest /= scale
-        yield rows, block
+    rotation = np.empty((k.size, 2, _GROUP_COLUMNS))
+    np.multiply(kc, np.arange(_GROUP_COLUMNS) * (r[1] - r[0]), out=rotation[:, 1])
+    np.cos(rotation[:, 1], out=rotation[:, 0])
+    np.sin(rotation[:, 1], out=rotation[:, 1])
+    rotation.setflags(write=False)
+    regions = []
+    for lo, hi, shift, scale in ((0, n_in, 0.0, m), (n_in, r.size, delta, 1.0)):
+        end = hi - (hi - lo) % _GROUP_COLUMNS
+        start = np.empty((k.size, 2, (end - lo) // _GROUP_COLUMNS))
+        theta = start[:, 1]
+        np.multiply(kc, r[lo:end:_GROUP_COLUMNS], out=theta)
+        theta += shift
+        np.sin(theta, out=start[:, 0])
+        np.cos(theta, out=theta)
+        start /= np.reshape(scale, (-1, 1, 1))
+        rest = np.empty((k.size, hi - end))
+        np.multiply(kc, r[end:hi], out=rest)
+        rest += shift
+        np.sin(rest, out=rest)
+        rest /= scale
+        start.setflags(write=False)
+        rest.setflags(write=False)
+        regions.append((int(lo), int(end), int(hi), start, rest))
+    return rotation, tuple(regions)
 
 
-def _continuum_functions(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The continuum matrix, rows by k: every block of _continuum_blocks, stored.
+def _apply(continuum: tuple, v: np.ndarray) -> np.ndarray:
+    """U v: the continuum matrix U (rows by k, columns by r) times a vector on the r grid.
 
-    The result is allocated once and filled in place; apart from it only
-    vectors of length n_k are allocated.
+    Per region, with V = v[lo:end] split into groups of _GROUP_COLUMNS, row k
+    gets sum_q sin theta_q (cos phi @ V^T)_q + cos theta_q (sin phi @ V^T)_q,
+    plus its leftover columns times v[end:hi]; _BLOCK_ROWS k rows at a time.
     """
-    out = np.empty((k.size, r.size))
-    for _ in _continuum_blocks(model, k, r, out):
-        pass
+    rotation, regions = continuum
+    out = np.zeros(rotation.shape[0])
+    for first in range(0, out.size, _BLOCK_ROWS):
+        rows = slice(first, first + _BLOCK_ROWS)
+        cos_sin = rotation[rows].reshape(-1, _GROUP_COLUMNS)
+        for lo, end, hi, start, rest in regions:
+            groups = cos_sin @ v[lo:end].reshape(-1, _GROUP_COLUMNS).T
+            groups = groups.reshape(start[rows].shape) * start[rows]
+            out[rows] += groups.sum(axis=(1, 2)) + rest[rows] @ v[end:hi]
+    return out
+
+
+def _apply_transpose(continuum: tuple, c: np.ndarray) -> np.ndarray:
+    """U^T c: the transposed continuum matrix times a vector on the k grid.
+
+    Per region, the groups of columns lo:end get (sin theta * c)^T @ cos phi +
+    (cos theta * c)^T @ sin phi and the leftover columns c @ rest, summed over
+    row blocks of _BLOCK_ROWS k rows in order.  So no one product sums more
+    than 2 _BLOCK_ROWS terms: OpenBLAS 0.3.31 (x86-64, AVX-512) gave different
+    bits under 1 and 2 threads when one product summed 400 to 500 terms (or
+    the whole k grid), and the same bits up to 300.
+    """
+    rotation, regions = continuum
+    out = np.zeros(regions[-1][2])
+    for first in range(0, c.size, _BLOCK_ROWS):
+        rows = slice(first, first + _BLOCK_ROWS)
+        cos_sin = rotation[rows].reshape(-1, _GROUP_COLUMNS)
+        for lo, end, hi, start, rest in regions:
+            weighted = start[rows] * c[rows, None, None]
+            groups = out[lo:end].reshape(-1, _GROUP_COLUMNS)
+            groups += weighted.reshape(cos_sin.shape[0], -1).T @ cos_sin
+            out[end:hi] += c[rows] @ rest[rows]
     return out
 
 
@@ -381,47 +400,15 @@ def _check_grid(model: DeltaShellModel, k_max: float, n_k: int, r_max: float, n_
 
     Checked before anything of the grids' size is allocated: positive sizes
     (n_k >= 8, n_r >= 3), n_k * n_r within MAX_GRID_ELEMENTS, r_max > 2a.
+    The budget bounds the n_k * n_r elements each application of the
+    continuum works through; the factors themselves hold
+    O(n_k (n_r / 64 + 64)) elements.
     """
     if k_max <= 0 or r_max <= 0 or n_k < 8 or n_r < 3:
         raise ValueError("grid parameters must be positive (n_k >= 8, n_r >= 3)")
     check_grid_budget(n_k, n_r)
     if r_max <= 2 * model.a:
         raise ValueError("r_max must exceed the shell radius comfortably (r_max > 2a)")
-
-
-@dataclass(frozen=True)
-class _Grids:
-    """What a decomposition holds apart from its continuum matrix (same field names)."""
-
-    r: np.ndarray
-    r_weights: np.ndarray
-    k: np.ndarray
-    k_weights: np.ndarray
-    discrete: tuple
-
-
-def _build_grids(model: DeltaShellModel, k_max: float, n_k: int, r_max: float,
-                 n_r: int) -> _Grids:
-    """The r grid, its Simpson weights, the bound states, the k grid and its weights.
-
-    _check_grid runs first; only vectors of length n_k or n_r are allocated.
-    """
-    _check_grid(model, k_max, n_k, r_max, n_r)
-    r = np.linspace(0.0, r_max, n_r)
-    wr = _simpson_weights(n_r, r[1] - r[0])
-
-    n_in = np.searchsorted(r, model.a, side="right")
-    discrete = []
-    for energy in bound_states(model):
-        kappa = np.sqrt(-energy)
-        u = np.concatenate([np.sinh(kappa * r[:n_in]),
-                            np.sinh(kappa * model.a) * np.exp(-kappa * (r[n_in:] - model.a))])
-        u = u / np.sqrt(np.sum(wr * u * u))
-        discrete.append((energy, u))
-
-    k = _adaptive_k_grid(model, k_max, n_k)
-    wk = _trapezoid_weights(k) * CONTINUUM_MEASURE
-    return _Grids(r=r, r_weights=wr, k=k, k_weights=wk, discrete=tuple(discrete))
 
 
 def build_decomposition(
@@ -434,23 +421,45 @@ def build_decomposition(
     """Assemble bound and continuum eigendata on radial/momentum grids.
 
     n_r must be odd (Simpson weights), and n_k * n_r within MAX_GRID_ELEMENTS
-    (checked before the k-grid pole search or the matrix allocates).  Each
-    element is evaluated once, by region (r <= a, r > a); bound eigenfunctions
-    are normalized to unit quadrature norm.
+    (checked before the k-grid pole search or the continuum factors
+    allocate).  Bound eigenfunctions are normalized to unit quadrature norm;
+    a bound state too deep for that norm to be finite in float64 raises
+    ValueError.  The continuum is held as its angle-addition factors
+    (_continuum_factors), each region evaluated on its own columns.
     """
-    grids = _build_grids(model, k_max, n_k, r_max, n_r)
-    cont = _continuum_functions(model, grids.k, grids.r)
-    return SpectralDecomposition(model=model, continuum=cont, **vars(grids))
+    _check_grid(model, k_max, n_k, r_max, n_r)
+    r = np.linspace(0.0, r_max, n_r)
+    wr = _simpson_weights(n_r, r[1] - r[0])
+
+    n_in = np.searchsorted(r, model.a, side="right")
+    discrete = []
+    for energy in bound_states(model):
+        kappa = np.sqrt(-energy)
+        outside = np.exp(-kappa * (r[n_in:] - model.a))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                u = np.concatenate([np.sinh(kappa * r[:n_in]), np.sinh(kappa * model.a) * outside])
+                u = u / np.sqrt(np.sum(wr * u * u))
+        except FloatingPointError:
+            raise ValueError(f"bound state at E = {energy:.12g} is too deep to normalize: its "
+                             "eigenfunction's norm overflows float64 on the r grid") from None
+        discrete.append((energy, u))
+
+    k = _adaptive_k_grid(model, k_max, n_k)
+    wk = _trapezoid_weights(k) * CONTINUUM_MEASURE
+    return SpectralDecomposition(model=model, r=r, r_weights=wr, k=k, k_weights=wk,
+                                 discrete=tuple(discrete),
+                                 continuum=_continuum_factors(model, k, r))
 
 
-def _check_packet(grids, packet: WavePacket) -> np.ndarray:
-    if packet.n_points != grids.r.size or packet.r_max != grids.r[-1]:
+def _check_packet(decomp: SpectralDecomposition, packet: WavePacket) -> np.ndarray:
+    if packet.n_points != decomp.r.size or packet.r_max != decomp.r[-1]:
         raise ValueError("packet grid does not match the decomposition grid")
     phi = packet.values
-    total = float(np.sum(grids.r_weights * phi * phi))
+    total = float(np.sum(decomp.r_weights * phi * phi))
     if total > 0:
-        tail_sel = grids.r > 0.8 * grids.r[-1]
-        tail = float(np.sum(grids.r_weights[tail_sel] * phi[tail_sel] ** 2))
+        tail_sel = decomp.r > 0.8 * decomp.r[-1]
+        tail = float(np.sum(decomp.r_weights[tail_sel] * phi[tail_sel] ** 2))
         if tail / total >= _TAIL_MASS_LIMIT:
             raise ValueError(
                 f"packet tail mass {tail / total:.3g} beyond 0.8 r_max exceeds {_TAIL_MASS_LIMIT}"
@@ -459,52 +468,22 @@ def _check_packet(grids, packet: WavePacket) -> np.ndarray:
 
 
 def expand(decomp: SpectralDecomposition, packet: WavePacket):
-    """Expansion coefficients (discrete list, continuum array) of a packet."""
+    """Expansion coefficients (discrete array, continuum array) of a packet:
+    <u_b|phi> per bound state and U (w_r phi) on the k grid."""
     phi = _check_packet(decomp, packet)
     weighted = decomp.r_weights * phi
     discrete_coefs = np.array([np.sum(weighted * u) for _, u in decomp.discrete])
-    continuum_coefs = decomp.continuum @ weighted
-    return discrete_coefs, continuum_coefs
-
-
-def _rebuild(grids, packet: WavePacket, blocks) -> WavePacket:
-    """The packet rebuilt from its expansion, one row block of the continuum at a time.
-
-    blocks yields (rows, block) with block = u_{k[rows]} on the r grid; each
-    adds block^T (w_k (block (w_r phi))), then each bound state adds
-    <u_b|phi> u_b.  The same blocks give the same bits, stored or streamed.
-    """
-    phi = _check_packet(grids, packet)
-    weighted = grids.r_weights * phi
-    out = np.zeros(phi.size)
-    for rows, block in blocks:
-        out += block.T @ (grids.k_weights[rows] * (block @ weighted))
-    for _, u in grids.discrete:
-        out += np.sum(weighted * u) * u
-    return WavePacket(out, packet.r_max, packet.n_points)
+    return discrete_coefs, _apply(decomp.continuum, weighted)
 
 
 def reconstruct(decomp: SpectralDecomposition, packet: WavePacket) -> WavePacket:
-    """Rebuild a packet from its discrete + continuum coefficients.
-
-    The stored matrix is read in the row blocks _stream_reconstruction
-    computes, so both give the same bits.
-    """
-    blocks = ((rows, decomp.continuum[rows]) for rows in _row_blocks(*decomp.continuum.shape))
-    return _rebuild(decomp, packet, blocks)
-
-
-def _stream_reconstruction(model: DeltaShellModel, k_max: float, n_k: int, r_max: float,
-                           n_r: int, packet: WavePacket) -> tuple[_Grids, WavePacket]:
-    """reconstruct(build_decomposition(...), packet), bit for bit, without the matrix.
-
-    Each row block of the continuum is computed, used and overwritten, so
-    memory is one block plus vectors of length n_k or n_r; the n_k * n_r
-    budget of _check_grid bounds the work.  Returns the grids and the
-    rebuilt packet.
-    """
-    grids = _build_grids(model, k_max, n_k, r_max, n_r)
-    return grids, _rebuild(grids, packet, _continuum_blocks(model, grids.k, grids.r))
+    """Rebuild a packet from its discrete + continuum coefficients:
+    U^T (w_k c) plus <u_b|phi> u_b per bound state."""
+    discrete_coefs, continuum_coefs = expand(decomp, packet)
+    out = _apply_transpose(decomp.continuum, decomp.k_weights * continuum_coefs)
+    for coef, (_, u) in zip(discrete_coefs, decomp.discrete):
+        out += coef * u
+    return WavePacket(out, packet.r_max, packet.n_points)
 
 
 def reconstruct_error(decomp: SpectralDecomposition, packet: WavePacket) -> float:
@@ -512,13 +491,14 @@ def reconstruct_error(decomp: SpectralDecomposition, packet: WavePacket) -> floa
     return _relative_error(decomp, packet, reconstruct(decomp, packet))
 
 
-def _relative_error(grids, packet: WavePacket, rebuilt: WavePacket) -> float:
+def _relative_error(decomp: SpectralDecomposition, packet: WavePacket,
+                    rebuilt: WavePacket) -> float:
     """Relative L2 distance of rebuilt from packet (0 for the zero packet)."""
     diff = packet.values - rebuilt.values
-    norm2 = float(np.sum(grids.r_weights * packet.values**2))
+    norm2 = float(np.sum(decomp.r_weights * packet.values**2))
     if norm2 == 0.0:
         return 0.0
-    err2 = float(np.sum(grids.r_weights * diff * diff))
+    err2 = float(np.sum(decomp.r_weights * diff * diff))
     return float(np.sqrt(err2 / norm2))
 
 

@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,21 @@ class TestErrorMessages:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("g", ["-720", "-1500"])
+    def test_too_deep_bound_state_rejected(self, capsys, g):
+        # unchecked, -720 printed a RuntimeWarning and exited 0 with an all-zero bound
+        # eigenfunction, and -1500 failed after four warnings with "packet values must be finite"
+        energy = scattering.bound_states(scattering.DeltaShellModel(g=float(g), a=1.0))[0]
+        argv = ["spectral", f"--g={g}", "--a", "1", "--packet", "gaussian:2,0.4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: bound state at E = {energy:.12g} is too deep to "
+                                "normalize: its eigenfunction's norm overflows float64 on the "
+                                "r grid\n")
+        assert captured.out == ""
+
     def test_bad_width_rejected_before_build(self, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("build_decomposition reached with a bad packet width")
@@ -108,7 +124,7 @@ class TestErrorMessages:
         def unreachable(*args):
             raise AssertionError("allocation reached with an over-budget grid")
 
-        for name in ("gaussian_packet", "_adaptive_k_grid", "_continuum_blocks"):
+        for name in ("gaussian_packet", "_adaptive_k_grid", "_continuum_factors"):
             monkeypatch.setattr(spectral, name, unreachable)
         n_k = spectral.MAX_GRID_ELEMENTS // 4001 + 1
         argv = ["spectral", "--g", "100", "--a", "1", "--nk", str(n_k), "--packet", "gaussian:2,0.4"]
@@ -152,11 +168,7 @@ class TestErrorMessages:
             f"error: {n} energy samples need about 8 work arrays of that size, over the budget "
             "of 134217728 float64 elements (1 GiB)\n")
 
-    def test_spectral_streams_without_the_matrix(self, capsys, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("gamow spectral built the stored continuum matrix")
-
-        monkeypatch.setattr(spectral, "build_decomposition", unreachable)
+    def test_spectral_runs_without_the_matrix(self, capsys):
         argv = ["spectral", "--g", "100", "--a", "1", "--packet", "gaussian:2,0.4"]
         tracemalloc.start()
         try:

@@ -5,6 +5,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gamow.scattering import DeltaShellModel, bound_states
 from gamow.spectral import (
@@ -26,6 +27,11 @@ from oracles import shell_denominator, where_bound_functions, where_continuum_fu
 R_MAX, N_R = 10.0, 4001
 ATTRACTIVE = DeltaShellModel(g=-5.0, a=1.0)
 STRONG = DeltaShellModel(g=100.0, a=1.0)
+
+
+def _matrix(continuum, n_k):
+    """The continuum matrix the factors apply, row i read as U^T e_i."""
+    return np.array([spectral._apply_transpose(continuum, e) for e in np.eye(n_k)])
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +75,8 @@ class TestDecomposition:
 
     def test_continuum_asymptotically_unit_amplitude(self, strong_decomp):
         # outside the shell u_k = sin(kr + delta): check peak amplitude ~ 1
-        row = strong_decomp.continuum[strong_decomp.k.size // 2]
+        n_k = strong_decomp.k.size
+        row = spectral._apply_transpose(strong_decomp.continuum, np.eye(1, n_k, n_k // 2)[0])
         outside = strong_decomp.r > 2.0
         assert np.max(np.abs(row[outside])) == pytest.approx(1.0, abs=1e-3)
 
@@ -93,6 +100,19 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             build_decomposition(ATTRACTIVE, 10.0, 200, 10.0, 4000)
 
+    def test_deep_bound_state_normalized(self):
+        # g a = -700: kappa a is about 350, so sinh(kappa a)^2 is still finite
+        decomp = build_decomposition(DeltaShellModel(g=-700.0, a=1.0), 30.0, 32, R_MAX, N_R)
+        (_, u), = decomp.discrete
+        assert abs(np.sum(decomp.r_weights * u * u) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("g", [-720.0, -1500.0])
+    def test_too_deep_bound_state_rejected(self, g):
+        # unchecked, the norm^2 overflows: -720 normalized to all zeros, -1500 to NaN
+        energy = bound_states(DeltaShellModel(g=g, a=1.0))[0]
+        with pytest.raises(ValueError, match=f"bound state at E = {energy:.12g} is too deep"):
+            build_decomposition(DeltaShellModel(g=g, a=1.0), 30.0, 32, R_MAX, N_R)
+
 
 class TestPiecewiseEigenfunctions:
     """Each region evaluated on its own columns agrees with the np.where form: the bound
@@ -109,7 +129,8 @@ class TestPiecewiseEigenfunctions:
         # a = 1 is node 400 of the grid (that column stays inside); 1.2345 falls between
         assert (a in decomp.r) == (a == 1.0)
         where = where_continuum_functions(model, decomp.k, decomp.r)
-        assert np.max(np.abs(decomp.continuum - where)) <= 1e-12 * np.max(np.abs(where))
+        u = _matrix(decomp.continuum, decomp.k.size)
+        assert np.max(np.abs(u - where)) <= 1e-12 * np.max(np.abs(where))
         expected = where_bound_functions(model, decomp.r, decomp.r_weights)
         assert len(decomp.discrete) == len(expected) == (1 if g * a < -1 else 0)
         for (energy, u), (energy_ref, u_ref) in zip(decomp.discrete, expected):
@@ -117,80 +138,110 @@ class TestPiecewiseEigenfunctions:
             assert np.array_equal(u, u_ref)
 
     def test_continuum_peak_memory(self):
-        # the np.where form holds about five matrices at once (4.8-5x the result)
+        # the factors are filled in place: their bytes plus vectors of length n_k
         k = np.linspace(30.0 / 2000, 30.0, 2000)
         r = np.linspace(0.0, R_MAX, N_R)
         tracemalloc.start()
         try:
-            cont = spectral._continuum_functions(STRONG, k, r)
+            rotation, regions = spectral._continuum_factors(STRONG, k, r)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * cont.nbytes
+        nbytes = rotation.nbytes + sum(start.nbytes + rest.nbytes for *_, start, rest in regions)
+        assert nbytes <= 0.075 * k.size * r.size * 8
+        assert peak <= nbytes + 16 * k.size * 8
 
-    # rows per block is _BLOCK_ELEMENTS // n_r: 65 at n_r = 4001, 1 past 2^18 columns
-    @pytest.mark.parametrize("n_k, r_max, n_r", [
-        (131, R_MAX, N_R), (40, R_MAX, N_R), (3, 8.0, 2**18 + 1),
+    # 128 k rows per block: 300 rows end in a partial block, 40 fit in one, and blocks of
+    # one row on the wide r grid each reduce over two terms (3584 groups in a product)
+    @pytest.mark.parametrize("n_k, r_max, n_r, block_rows", [
+        (300, R_MAX, N_R, 128), (40, R_MAX, N_R, 128), (3, 8.0, 2**18 + 1, 1),
     ], ids=["partial-last-block", "one-short-block", "one-row-blocks"])
     @pytest.mark.parametrize("g, a", [(100.0, 1.0), (-5.0, 1.2345)], ids=["node", "between"])
-    def test_block_build_matches_where_form(self, monkeypatch, n_k, r_max, n_r, g, a):
-        rows = max(1, spectral._BLOCK_ELEMENTS // n_r)
-        assert n_k % rows != 0 or rows == 1
+    def test_block_build_matches_where_form(self, monkeypatch, n_k, r_max, n_r, block_rows, g, a):
+        assert spectral._BLOCK_ROWS == 128
+        monkeypatch.setattr(spectral, "_BLOCK_ROWS", block_rows)
         model = DeltaShellModel(g=g, a=a)
         k = np.linspace(30.0 / n_k, 30.0, n_k)
         r = np.linspace(0.0, r_max, n_r)
         # a = 1 is a node of both r grids (r_max / (n_r - 1) = 2^-15 on the wide one)
         assert (a in r) == (a == 1.0)
-        blocked = spectral._continuum_functions(model, k, r)
-        # the block size changes no bit: one-row blocks, then the whole matrix as one block
-        for budget in (1, n_k * n_r):
-            monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", budget)
-            assert np.array_equal(spectral._continuum_functions(model, k, r), blocked)
+        continuum = spectral._continuum_factors(model, k, r)
         where = where_continuum_functions(model, k, r)
-        assert np.max(np.abs(blocked - where)) <= 1e-12 * np.max(np.abs(where))
+        assert np.max(np.abs(_matrix(continuum, n_k) - where)) <= 1e-12 * np.max(np.abs(where))
+        v = np.random.default_rng(n_k).standard_normal(n_r)
+        assert (np.max(np.abs(spectral._apply(continuum, v) - where @ v))
+                <= 1e-12 * np.max(np.abs(where)) * np.sum(np.abs(v)))
 
-    def test_build_peak_memory_is_about_one_matrix(self):
-        # whole-matrix temporaries held 3.7 matrices, and the copy into the record one more
+    def test_build_peak_memory_is_a_tenth_of_the_matrix(self):
+        # the stored matrix held 1-1.25 matrices; the factors and the grids hold 4.9 MB
         tracemalloc.start()
         try:
-            decomp = build_decomposition(STRONG, k_max=30.0, n_k=2000, r_max=R_MAX, n_r=N_R)
+            build_decomposition(STRONG, k_max=30.0, n_k=2000, r_max=R_MAX, n_r=N_R)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * decomp.continuum.nbytes
+        assert peak <= 0.1 * 2000 * N_R * 8
 
     def test_arrays_are_read_only(self, strong_decomp):
-        assert not strong_decomp.continuum.flags.writeable
+        rotation, regions = strong_decomp.continuum
+        arrays = [rotation] + [arr for *_, start, rest in regions for arr in (start, rest)]
+        assert not any(arr.flags.writeable for arr in arrays)
         with pytest.raises(ValueError, match="read-only"):
-            strong_decomp.continuum[0, 0] = 0.0
+            rotation[0, 0, 0] = 0.0
         for _, u in build_decomposition(ATTRACTIVE, 30.0, 64, R_MAX, 401).discrete:
             assert not u.flags.writeable
 
 
-class TestStreamedReconstruction:
-    """gamow spectral rebuilds its packet from one computed row block at a time; the
-    stored matrix, read in the same blocks, gives the same bits."""
+def _operator(g, a, n_k, n_r):
+    """The factors of a (g, a) continuum on a uniform k grid, and its np.where matrix."""
+    model = DeltaShellModel(g=g, a=a)
+    k = np.linspace(30.0 / n_k, 30.0, n_k)
+    r = np.linspace(0.0, R_MAX, n_r)
+    return spectral._continuum_factors(model, k, r), where_continuum_functions(model, k, r)
 
-    # 65 rows per block at n_r = 4001, so n_k = 131 leaves a one-row last block
-    @pytest.mark.parametrize("block_elements", [spectral._BLOCK_ELEMENTS, 1],
-                             ids=["partial-last-block", "one-row-blocks"])
-    @pytest.mark.parametrize("g, a", [(100.0, 1.0), (-5.0, 1.0), (-5.0, 1.2345)],
-                             ids=["node", "bound-node", "bound-between"])
-    def test_stream_matches_stored(self, monkeypatch, block_elements, g, a):
-        monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", block_elements)
-        model = DeltaShellModel(g=g, a=a)
-        packet = gaussian_packet(2.0, 0.4, R_MAX, N_R)
-        decomp = build_decomposition(model, 30.0, 131, R_MAX, N_R)
-        assert (a in decomp.r) == (a == 1.0)
-        assert len(decomp.discrete) == (1 if g < 0 else 0)
-        grids, streamed = spectral._stream_reconstruction(model, 30.0, 131, R_MAX, N_R, packet)
-        assert np.array_equal(grids.k, decomp.k)
-        assert np.array_equal(streamed.values, reconstruct(decomp, packet).values)
 
-    def test_stream_checks_the_packet_tail(self):
-        packet = gaussian_packet(9.0, 0.5, R_MAX, N_R)
-        with pytest.raises(ValueError, match="tail"):
-            spectral._stream_reconstruction(STRONG, 30.0, 64, R_MAX, N_R, packet)
+# the (g, a) plane, with grids that cross a 128-row block and end regions in partial groups
+PLANE = dict(g=st.floats(-50.0, 1e4).filter(bool), a=st.floats(0.05, 4.0),
+             n_k=st.integers(1, 300), n_r=st.integers(3, 700), seed=st.integers(0, 2**32 - 1))
+EDGES = [example(g=-1.0, a=1.0, n_k=200, n_r=401, seed=1),       # g a = -1: threshold
+         example(g=1e-6, a=1.0, n_k=200, n_r=401, seed=2),       # g a -> 0
+         example(g=1e4, a=1.0, n_k=300, n_r=401, seed=3),        # 1/|D| folded in above 1e3
+         example(g=-5.0, a=1.2345, n_k=300, n_r=401, seed=4)]    # shell between nodes
+
+
+def _edges(test):
+    for edge in EDGES:
+        test = edge(test)
+    return test
+
+
+class TestContinuumOperator:
+    """U v and U^T c from the factors, over the (g, a) plane, against the np.where matrix W
+    of tests/oracles.py.  Errors are bounded by the size of the terms, 1e-12 max|W| times
+    the 1-norm of the vector, not by the result, which can cancel to near zero."""
+
+    @given(**PLANE)
+    @_edges
+    def test_adjoint(self, g, a, n_k, n_r, seed):
+        continuum, where = _operator(g, a, n_k, n_r)
+        rng = np.random.default_rng(seed)
+        v, c = rng.standard_normal(n_r), rng.standard_normal(n_k)
+        lhs = spectral._apply(continuum, v) @ c
+        rhs = v @ spectral._apply_transpose(continuum, c)
+        bound = 1e-12 * np.max(np.abs(where)) * np.sum(np.abs(v)) * np.sum(np.abs(c))
+        assert abs(lhs - rhs) <= bound
+
+    @given(**PLANE)
+    @_edges
+    def test_products_match_where_form(self, g, a, n_k, n_r, seed):
+        continuum, where = _operator(g, a, n_k, n_r)
+        rng = np.random.default_rng(seed)
+        v, c = rng.standard_normal(n_r), rng.standard_normal(n_k)
+        scale = 1e-12 * np.max(np.abs(where))
+        assert (np.max(np.abs(spectral._apply(continuum, v) - where @ v))
+                <= scale * np.sum(np.abs(v)))
+        assert (np.max(np.abs(spectral._apply_transpose(continuum, c) - c @ where))
+                <= scale * np.sum(np.abs(c)))
 
 
 def _mp_continuum(model, k, r):
@@ -216,7 +267,7 @@ class TestContinuumPrecision:
         model = DeltaShellModel(g=g, a=a)
         k = _adaptive_k_grid(model, 30.0, 500)
         r = np.linspace(0.0, R_MAX, N_R)
-        u = spectral._continuum_functions(model, k, r)
+        u = _matrix(spectral._continuum_factors(model, k, r), k.size)
         rng = np.random.default_rng(8)
         # 300 random elements, plus 40 across the row nearest a zero of D (a resonance,
         # where the inside amplitude 1/|D| peaks: about 3e3 at g = 1e4)
@@ -241,7 +292,7 @@ class TestAngleAdditionPrecision:
         model = DeltaShellModel(g=g, a=a)
         k = _adaptive_k_grid(model, k_max, 500)
         r = np.linspace(0.0, R_MAX, n_r)
-        u = spectral._continuum_functions(model, k, r)
+        u = _matrix(spectral._continuum_factors(model, k, r), k.size)
         group = spectral._GROUP_COLUMNS
         n_in = int(np.searchsorted(r, a, side="right"))
         # what each case exercises
@@ -280,7 +331,7 @@ class TestGridBudget:
             raise AssertionError("allocation reached with an over-budget grid")
 
         monkeypatch.setattr(spectral, "_adaptive_k_grid", unreachable)
-        monkeypatch.setattr(spectral, "_continuum_functions", unreachable)
+        monkeypatch.setattr(spectral, "_continuum_factors", unreachable)
         n_k = spectral.MAX_GRID_ELEMENTS // N_R + 1
         with pytest.raises(ValueError, match=f"grid of {n_k} x {N_R} points exceeds the budget"):
             build_decomposition(STRONG, 30.0, n_k, R_MAX, N_R)
