@@ -146,8 +146,9 @@ def _g_sinc(model: DeltaShellModel, k):
     k = np.asarray(k)
     ka = k * model.a
     small = np.abs(ka) < 1e-4
-    safe = np.where(small, 1.0, k)
-    out = model.g * np.sin(ka) / safe
+    if not small.any():
+        return model.g * np.sin(ka) / k
+    out = model.g * np.sin(ka) / np.where(small, 1.0, k)
     series = model.g * model.a * (1.0 - ka * ka / 6.0)
     return np.where(small, series, out)
 
@@ -233,21 +234,20 @@ def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
     numpy divides complex arrays through a reciprocal, which can land one ulp
     away from ``complex.__truediv__``; this formula keeps the array search on
-    the floats a scalar Newton step would produce.  ``den`` must be finite
-    and nonzero.
+    the floats a scalar Newton step would produce.  Both of Smith's branches
+    are computed and np.where keeps CPython's, so the caller must ignore
+    floating-point warnings; a zero or non-finite den gives a non-finite out.
     """
     a, b, c, d = num.real, num.imag, den.real, den.imag
-    out = np.empty_like(num)
     by_re = np.abs(c) >= np.abs(d)
-    by_im = ~by_re
-    ratio = d[by_re] / c[by_re]
-    scale = c[by_re] + d[by_re] * ratio
-    out.real[by_re] = (a[by_re] + b[by_re] * ratio) / scale
-    out.imag[by_re] = (b[by_re] - a[by_re] * ratio) / scale
-    ratio = c[by_im] / d[by_im]
-    scale = c[by_im] * ratio + d[by_im]
-    out.real[by_im] = (a[by_im] * ratio + b[by_im]) / scale
-    out.imag[by_im] = (b[by_im] * ratio - a[by_im]) / scale
+    out = np.empty_like(num)
+    ratio = d / c
+    scale = c + d * ratio
+    re, im = (a + b * ratio) / scale, (b - a * ratio) / scale
+    ratio = c / d
+    scale = c * ratio + d
+    out.real = np.where(by_re, re, (a * ratio + b) / scale)
+    out.imag = np.where(by_re, im, (b * ratio - a) / scale)
     return out
 
 
@@ -257,35 +257,31 @@ def _newton_zeros(model: DeltaShellModel, seeds: np.ndarray) -> np.ndarray:
     Each seed follows the central-difference Newton rules on its own: it
     fails at k = 0, beyond IM_KA_BOUND, on a zero or non-finite D or D', on
     a non-finite iterate, or after _NEWTON_MAX_STEPS, and it stops once
-    |step| < 1e-12 (1 + |k|).  Moduli use np.hypot, the step uses _quotient
-    and D' is a componentwise division by 2h, so every endpoint is the float
-    that iterating the seed alone with Python complex arithmetic gives.
+    |step| < 1e-12 (1 + |k|).  A step evaluates D once, on k, k + h and k - h,
+    and compacts the live seeds once.  Moduli use np.hypot, the step uses
+    _quotient and D' is a componentwise division by 2h, so every endpoint is
+    the float that iterating the seed alone with Python complex arithmetic gives.
     """
     ends = np.full(seeds.shape, complex(np.nan, np.nan))
-    idx = np.arange(seeds.size)
-    k = seeds
-    with np.errstate(over="ignore", invalid="ignore"):
+    live = (seeds != 0) & (np.abs(seeds.imag) * model.a <= IM_KA_BOUND)
+    idx, k = np.flatnonzero(live), seeds[live]
+    with np.errstate(all="ignore"):
         for _ in range(_NEWTON_MAX_STEPS):
-            live = (k != 0) & (np.abs(k.imag) * model.a <= IM_KA_BOUND)
-            idx, k = idx[live], k[live]
             if not idx.size:
                 break
             h = _NEWTON_STEP_SCALE * (1.0 + np.hypot(k.real, k.imag))
-            f = denominator(model, k)
-            diff = denominator(model, k + h) - denominator(model, k - h)
-            df = np.empty_like(diff)
-            df.real = diff.real / (2 * h)
-            df.imag = diff.imag / (2 * h)
-            live = (df != 0) & np.isfinite(df) & np.isfinite(f)
-            idx, k = idx[live], k[live]
-            step = _quotient(f[live], df[live])
+            f, plus, minus = np.split(denominator(model, np.concatenate([k, k + h, k - h])), 3)
+            df = plus - minus
+            df.real /= 2 * h
+            df.imag /= 2 * h
+            step = _quotient(f, df)
             k = k - step
-            live = np.isfinite(k)
+            live = (df != 0) & np.isfinite(df) & np.isfinite(f) & np.isfinite(k)
             done = live & (
                 np.hypot(step.real, step.imag) < _NEWTON_CONVERGED * (1.0 + np.hypot(k.real, k.imag))
             )
             ends[idx[done]] = k[done]
-            live &= ~done
+            live &= ~done & (k != 0) & (np.abs(k.imag) * model.a <= IM_KA_BOUND)
             idx, k = idx[live], k[live]
     return ends
 
@@ -345,26 +341,29 @@ def pole_count(model: DeltaShellModel, region: SearchRegion) -> int:
 
     Walks the rectangle boundary counterclockwise once and sums the phase
     steps of D into a winding number.  Sampling starts at 512 points per
-    side and is doubled until no phase step reaches pi/2 (up to 2^21 per
-    side).  Raises PoleOnContourError if |D| on the contour falls below
-    1e-10 of the local term scale, or if the winding is not close to an
-    integer.
+    side; each step whose phase jump reaches pi/2 is bisected, and only
+    those, up to 12 levels (the spacing of 2^21 points per side; Delves &
+    Lyness 1967).  Raises PoleOnContourError if |D| at a sample falls below
+    1e-10 of the local term scale, if a step is still that wide after 12
+    levels, or if the winding is not close to an integer.
     """
     if max(abs(region.im_min), abs(region.im_max)) * model.a > IM_KA_BOUND:
         raise OverflowError(f"contour reaches |Im(k a)| > {IM_KA_BOUND}")
-    n = 512
-    while True:
-        path = _rectangle_path(region, n)
-        vals = denominator(model, path)
-        scale = _term_scale(model, path)
-        if np.any(np.abs(vals) < _RESIDUAL_FACTOR * scale):
+    path = new = _rectangle_path(region, 512)
+    vals = new_vals = denominator(model, path)
+    for level in range(13):
+        if np.any(np.abs(new_vals) < _RESIDUAL_FACTOR * _term_scale(model, new)):
             raise PoleOnContourError("contour touches a pole of S (zero of D)")
         steps = np.angle(vals[1:] / vals[:-1])
-        if np.max(np.abs(steps)) < np.pi / 2:
+        wide = np.flatnonzero(np.abs(steps) >= np.pi / 2)
+        if not wide.size:
             break
-        if n >= 2**21:
+        if level == 12:
             raise PoleOnContourError("contour winding did not resolve; a zero may sit on the boundary")
-        n *= 2
+        new = 0.5 * (path[wide] + path[wide + 1])
+        new_vals = denominator(model, new)
+        path = np.insert(path, wide + 1, new)
+        vals = np.insert(vals, wide + 1, new_vals)
     w = float(np.sum(steps) / (2 * np.pi))
     count = int(np.round(w))
     if abs(w - count) > 0.25:

@@ -57,6 +57,7 @@ poles grids the same way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +92,7 @@ MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
 _GROUP_COLUMNS = 64               # continuum columns per angle-addition group
 _BLOCK_ROWS = 128                 # k rows per product when the continuum is applied
-_HARDY_WORK_ARRAYS = 8            # n-element float64 arrays the Hardy samples + hardy_check hold
+_HARDY_WORK_ARRAYS = 10           # n-element float64 arrays: Hardy samples + hardy_check + chirp
 
 
 def check_grid_budget(*shape: int) -> None:
@@ -111,9 +112,9 @@ def _check_work_budget(shape: tuple[int, ...], arrays: int, what: str) -> None:
     more than MAX_GRID_ELEMENTS.
 
     Each path charges the tracemalloc peak of its run per grid point, rounded
-    up (the Hardy samples plus one hardy_check hold about 7 arrays of n
-    elements, so they are charged _HARDY_WORK_ARRAYS); a shape beyond the
-    grid budget itself gets check_grid_budget's message.
+    up (the Hardy samples plus one hardy_check with a cold chirp cache hold
+    9.02 arrays of n elements, so they are charged _HARDY_WORK_ARRAYS = 10); a
+    shape beyond the grid budget itself gets check_grid_budget's message.
     """
     check_grid_budget(*shape)
     if arrays * math.prod(max(int(n), 1) for n in shape) > MAX_GRID_ELEMENTS:
@@ -502,6 +503,23 @@ def _relative_error(decomp: SpectralDecomposition, packet: WavePacket,
     return float(np.sqrt(err2 / norm2))
 
 
+@functools.lru_cache(maxsize=1)
+def _half_bin_chirp(n: int) -> np.ndarray:
+    """exp(-2 pi i j (1/2 - n/2) / n), j = 0..n-1, read-only; only the latest n is kept.
+
+    It shifts the FFT's t grid by n/2 - 1/2 bins.  Its argument reaches pi n / 2
+    rad, so it keeps exactly these operations: a rearranged form such as
+    e^{-i pi j / n} (-1)^j rounds it differently and moves the leakage's 12th digit.
+    """
+    chirp = np.arange(n, dtype=complex)
+    np.multiply(FOURIER_KERNEL_SIGN * 2j * np.pi, chirp, out=chirp)
+    np.multiply(chirp, -n / 2 + 0.5, out=chirp)
+    np.divide(chirp, n, out=chirp)
+    np.exp(chirp, out=chirp)
+    chirp.setflags(write=False)
+    return chirp
+
+
 def hardy_check(energies, values, half_plane: str) -> HardyReport:
     """Classify a sampled f(E) by the time support of its Fourier transform.
 
@@ -511,8 +529,10 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     grid, otherwise the window truncation would fake leakage.  leakage is
     the |F(t)|^2 fraction on the half-line forbidden to the requested class
     (t < 0 for "upper", t > 0 for "lower"); is_member = leakage <
-    HARDY_LEAKAGE_THRESHOLD.  The sample count times _HARDY_WORK_ARRAYS must
-    be within MAX_GRID_ELEMENTS.
+    HARDY_LEAKAGE_THRESHOLD.  F(t) = de e^{-i e0 t} FFT(f chirp); the factor
+    outside the FFT has modulus de and cancels in the leakage, so only the FFT
+    is taken.  The chirp (_half_bin_chirp) of the last n is kept, 16 n bytes.
+    The sample count times _HARDY_WORK_ARRAYS must be within MAX_GRID_ELEMENTS.
     """
     if half_plane not in ("upper", "lower"):
         raise ValueError(f"half_plane must be 'upper' or 'lower', got {half_plane!r}")
@@ -539,26 +559,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     n = e.size
     # t grid offset by half a bin: for even n no sample at t = 0, symmetric under t -> -t,
     # and t < 0 exactly on the first n/2 samples
-    dt = 2.0 * np.pi / (n * de)
-    # transform = de e^{-i e0 t} FFT(f e^{-2 pi i j (1/2 - n/2) / n}), folded in place; the
-    # FFT returns a new array, so the phase factor is built after it, in one complex array
-    # whose t has exact zero imaginary parts (so each element matches a float t cast to complex)
-    transform = np.arange(n, dtype=complex)
-    np.multiply(FOURIER_KERNEL_SIGN * 2j * np.pi, transform, out=transform)
-    np.multiply(transform, -n / 2 + 0.5, out=transform)
-    np.divide(transform, n, out=transform)
-    np.exp(transform, out=transform)
-    np.multiply(f, transform, out=transform)
-    transform = np.fft.fft(transform)
-    phase = np.arange(n, dtype=complex)
-    np.subtract(phase, n / 2, out=phase)
-    np.add(phase, 0.5, out=phase)
-    np.multiply(phase, dt, out=phase)
-    np.multiply(FOURIER_KERNEL_SIGN * 1j * e[0], phase, out=phase)
-    np.exp(phase, out=phase)
-    np.multiply(de, phase, out=phase)
-    np.multiply(phase, transform, out=transform)
-    del phase
+    transform = np.fft.fft(np.multiply(f, _half_bin_chirp(n)))
     energy = np.abs(transform)
     np.square(energy, out=energy)
     total = float(energy.sum())

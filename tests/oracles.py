@@ -6,9 +6,14 @@ pole positions come from a dense |D| scan with recursive grid refinement
 condition (no bisection helper), and winding counts from a brute-force
 densely sampled contour.
 
-Five exceptions are references kept verbatim from the code they
+Seven exceptions are references kept verbatim from the code they
 replaced: ``scalar_find_poles``, the seed-by-seed Newton search that
 ``find_poles`` ran before it became one array iteration;
+``doubling_pole_count``, the winding count that doubled the samples on the
+whole contour before ``pole_count`` bisected only its wide steps;
+``phased_hardy_leakage``, the Hardy leakage with the full transform
+de e^{-i e0 t} FFT(f chirp) before ``hardy_check`` dropped the factor of
+modulus de and kept its chirp;
 ``scalar_amplitude``, the one-time ``cmath`` evaluation of a semigroup law
 that ``dynamics.amplitude`` replaced; ``scalar_phase_shift_curve``, the
 point-by-point branch walk (with its interval bisection) that
@@ -17,7 +22,10 @@ cumulative sum of rounded jumps; and ``where_continuum_functions`` and
 ``where_bound_functions``, the spectral eigenfunctions evaluated on the
 whole r grid for both regions and then selected with ``np.where``, before
 each region was evaluated on its own columns.  All are bit-identity
-references except ``where_continuum_functions``: it keeps the hand-derived
+references except three.  ``doubling_pole_count`` samples other points than
+the bisection, so only its count or exception type must agree;
+``phased_hardy_leakage`` rounds differently, so the leakages agree to
+2e-15 relative; and ``where_continuum_functions`` keeps the hand-derived
 matching coefficients alpha = 1 + (g/k) sin ka cos ka, beta = -(g/k) sin^2
 ka, while the library now takes M and the phase shift from the Jost
 function, so the two agree to rounding (1e-12 of the largest element).
@@ -30,12 +38,15 @@ import numpy as np
 from gamow.dynamics import Kind, Law
 from gamow.scattering import (
     IM_KA_BOUND,
+    PoleOnContourError,
     ResonancePole,
+    _rectangle_path,
     _term_scale,
     bound_states,
     denominator,
     s_matrix,
 )
+from gamow.spectral import FOURIER_KERNEL_SIGN
 
 _NEWTON_MAX_STEPS = 50
 _NEWTON_STEP_SCALE = 1e-7
@@ -188,6 +199,61 @@ def scalar_find_poles(model, region):
                 found.append(k)
     found.sort(key=lambda z: z.real)
     return [ResonancePole.from_momentum(k) for k in found]
+
+
+def doubling_pole_count(model, region):
+    """pole_count sampling the whole contour, doubled from 512 points per side
+    until no phase step reaches pi/2 (up to 2^21 per side)."""
+    if max(abs(region.im_min), abs(region.im_max)) * model.a > IM_KA_BOUND:
+        raise OverflowError(f"contour reaches |Im(k a)| > {IM_KA_BOUND}")
+    n = 512
+    while True:
+        path = _rectangle_path(region, n)
+        vals = denominator(model, path)
+        scale = _term_scale(model, path)
+        if np.any(np.abs(vals) < _RESIDUAL_FACTOR * scale):
+            raise PoleOnContourError("contour touches a pole of S (zero of D)")
+        steps = np.angle(vals[1:] / vals[:-1])
+        if np.max(np.abs(steps)) < np.pi / 2:
+            break
+        if n >= 2**21:
+            raise PoleOnContourError("contour winding did not resolve; a zero may sit on the boundary")
+        n *= 2
+    w = float(np.sum(steps) / (2 * np.pi))
+    count = int(np.round(w))
+    if abs(w - count) > 0.25:
+        raise PoleOnContourError(f"winding number {w:.3f} is not close to an integer")
+    return count
+
+
+def phased_hardy_leakage(energies, values, half_plane):
+    """hardy_check's leakage from de e^{-i e0 t} FFT(f chirp), chirp built per call."""
+    e = np.asarray(energies, dtype=float)
+    f = np.asarray(values, dtype=complex)
+    de = e[1] - e[0]
+    n = e.size
+    dt = 2.0 * np.pi / (n * de)
+    transform = np.arange(n, dtype=complex)
+    np.multiply(FOURIER_KERNEL_SIGN * 2j * np.pi, transform, out=transform)
+    np.multiply(transform, -n / 2 + 0.5, out=transform)
+    np.divide(transform, n, out=transform)
+    np.exp(transform, out=transform)
+    np.multiply(f, transform, out=transform)
+    transform = np.fft.fft(transform)
+    phase = np.arange(n, dtype=complex)
+    np.subtract(phase, n / 2, out=phase)
+    np.add(phase, 0.5, out=phase)
+    np.multiply(phase, dt, out=phase)
+    np.multiply(FOURIER_KERNEL_SIGN * 1j * e[0], phase, out=phase)
+    np.exp(phase, out=phase)
+    np.multiply(de, phase, out=phase)
+    np.multiply(phase, transform, out=transform)
+    del phase
+    energy = np.abs(transform)
+    np.square(energy, out=energy)
+    total = float(energy.sum())
+    forbidden = energy[:n // 2] if half_plane == "upper" else energy[n // 2:]
+    return float(forbidden.sum() / total)
 
 
 def scalar_amplitude(law: Law, pole: ResonancePole, t: float) -> complex:

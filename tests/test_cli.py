@@ -165,7 +165,8 @@ class TestErrorMessages:
         monkeypatch.setattr(spectral.np, "linspace", unreachable)
         assert run(parse_args(["hardy", "--pole", "10,0.1", "--n", str(n)])) == 1
         assert capsys.readouterr().err == (
-            f"error: {n} energy samples need about 8 work arrays of that size, over the budget "
+            f"error: {n} energy samples need about {spectral._HARDY_WORK_ARRAYS} work arrays of "
+            "that size, over the budget "
             "of 134217728 float64 elements (1 GiB)\n")
 
     def test_spectral_runs_without_the_matrix(self, capsys):

@@ -22,11 +22,13 @@ from gamow.scattering import (
     s_matrix,
 )
 
+import oracles
 from oracles import (
     bound_state_count_scan,
     breit_wigner_sin2,
     brute_winding,
     dense_scan_zeros,
+    doubling_pole_count,
     scalar_find_poles,
     scalar_phase_shift_curve,
     shell_denominator,
@@ -154,6 +156,12 @@ IDENTITY_CASES = {
     "kgrid_attractive": (DeltaShellModel(g=-5.0, a=1.0), KGRID_STRIP),
     "kgrid_weak": (DeltaShellModel(g=2.0, a=1.5), KGRID_STRIP),
     "im_ka_700": (DeltaShellModel(g=5.0, a=2.0), SearchRegion(0.0, 10.0, -350.0, 0.0, n_re=12, n_im=8)),
+    "im_ka_crossed": (DeltaShellModel(g=5.0, a=2.0),
+                      SearchRegion(0.0, 10.0, -400.0, 0.0, n_re=12, n_im=8)),
+    "kgrid_1e4_1.2345": (DeltaShellModel(g=1e4, a=1.2345), KGRID_STRIP),
+    "kgrid_third_1.5": (DeltaShellModel(g=100.0 / 3.0, a=1.5), KGRID_STRIP),
+    "attractive": (DeltaShellModel(g=-5.0, a=1.0), ACCEPT_REGION),
+    "threshold": (DeltaShellModel(g=-1.0, a=1.0), ACCEPT_REGION),
 }
 
 
@@ -167,6 +175,18 @@ class TestFindPolesBitIdentity:
         want = [p.k_pole for p in scalar_find_poles(model, region)]
         assert got == want
 
+    def test_quotient_is_cpython_division(self):
+        # few distinct parts, so |Re den| = |Im den| ties and zero parts occur
+        rng = np.random.default_rng(3)
+        parts = np.concatenate([rng.standard_normal(20) * 10.0 ** rng.uniform(-8, 8, 20),
+                                [0.0, 1.0, -1.0, 2.0]])
+        num = rng.choice(parts, 4000) + 1j * rng.choice(parts, 4000)
+        den = rng.choice(parts, 4000) + 1j * rng.choice(parts, 4000)
+        num, den = num[den != 0], den[den != 0]
+        with np.errstate(all="ignore"):
+            got = scattering._quotient(num, den)
+        assert got.tolist() == [n / d for n, d in zip(num.tolist(), den.tolist())]
+
     def test_seed_grid_larger_than_one_chunk(self, monkeypatch):
         # 48 x 24 seeds in chunks of 100: twelve chunks, the last one partial
         monkeypatch.setattr(scattering, "_SEED_CHUNK", 100)
@@ -175,7 +195,87 @@ class TestFindPolesBitIdentity:
         assert got == [p.k_pole for p in scalar_find_poles(STRONG, ACCEPT_REGION)]
 
 
+def count_regions(seed, n_each):
+    """Seeded (model, region) pairs for pole_count, n_each of each kind: fourth-quadrant
+    rectangles up to the real axis, rectangles across Im k = 0, rectangles around a bound
+    state, and rectangles with an edge 1e-9 to 1e-6 from a pole (a fifth of them through it)."""
+    rng = np.random.default_rng(seed)
+
+    def model(lo, hi, sign):
+        a = rng.uniform(0.5, 2.0)
+        return DeltaShellModel(sign * np.exp(rng.uniform(np.log(lo), np.log(hi))) / a, a)
+
+    cases = []
+    for _ in range(n_each):
+        m = model(0.5, 400.0, rng.choice([-1.0, 1.0]))
+        re = np.sort(rng.uniform(0.0, 12.0, 2)) / m.a
+        cases.append((m, SearchRegion(re[0], re[1] + 0.01, -rng.uniform(0.1, 3.0) / m.a, 0.0)))
+    for _ in range(n_each):
+        m = model(0.5, 400.0, rng.choice([-1.0, 1.0]))
+        re = rng.uniform(-2.0, 4.0) / m.a
+        cases.append((m, SearchRegion(re, re + rng.uniform(0.5, 8.0) / m.a,
+                                      -rng.uniform(0.05, 2.0) / m.a, rng.uniform(0.05, 2.0) / m.a)))
+    for _ in range(n_each):
+        m = model(1.05, 400.0, -1.0)
+        kappa = np.sqrt(-bound_states(m)[0])
+        x = rng.uniform(0.05, 1.0, 4) * kappa
+        cases.append((m, SearchRegion(-x[0], x[1], kappa - x[2], kappa + x[3])))
+    for _ in range(n_each):
+        m = model(3.0, 100.0, 1.0)
+        poles = find_poles(m, SearchRegion(0.0, 10.0 / m.a, -2.0 / m.a, 0.0, n_re=24, n_im=12))
+        k = poles[rng.integers(len(poles))].k_pole
+        gap = 10.0 ** rng.uniform(-9.0, -6.0) * rng.choice([-1.0, 1.0])  # > 0: pole inside
+        side = abs(gap) * 10.0 ** rng.uniform(2.0, 4.0)
+        if rng.random() < 0.2:
+            gap, side = 0.0, 10.0 ** rng.uniform(-7.0, -5.5)
+        lo = k - rng.uniform(0.0, side) * (1 + 1j)
+        corners = {0: (k.real - gap, lo.imag), 1: (k.real + gap - side, lo.imag),
+                   2: (lo.real, k.imag - gap), 3: (lo.real, k.imag + gap - side)}
+        re, im = corners[int(rng.integers(4))]
+        cases.append((m, SearchRegion(re, re + side, im, im + side)))
+    return cases
+
+
+def _outcome(count, model, region):
+    try:
+        return count(model, region)
+    except (PoleOnContourError, OverflowError) as exc:
+        return type(exc)
+
+
 class TestPoleCount:
+    def test_bisection_matches_doubling(self):
+        cases = count_regions(2026, 130)
+        outcomes = [(_outcome(pole_count, *case), _outcome(doubling_pole_count, *case))
+                    for case in cases]
+        assert [i for i, (got, want) in enumerate(outcomes) if got != want] == []
+        # every kind of region is exercised, touching contours included
+        assert {want for _, want in outcomes} >= {0, 1, 2, PoleOnContourError}
+
+    def test_bisection_evaluates_a_tenth_of_the_doubling(self, monkeypatch):
+        # g a = 400 with its top edge on the real axis: the doubling went to 2^17 points a side
+        model, region = DeltaShellModel(g=400.0, a=1.0), SearchRegion(0.05, 10.0, -2.0, 0.0)
+        points = []
+
+        def counting(m, k):
+            points.append(np.size(k))
+            return denominator(m, k)
+
+        monkeypatch.setattr(scattering, "denominator", counting)
+        monkeypatch.setattr(oracles, "denominator", counting)
+        assert doubling_pole_count(model, region) == 3
+        doubling, points[:] = sum(points), []
+        assert pole_count(model, region) == 3
+        assert doubling >= 4 * 2**17
+        assert sum(points) <= doubling / 10
+
+    def test_unresolved_winding_raises(self, strong_poles):
+        # the top edge passes 1e-10 above a pole: 12 bisections leave the spacing 4.8e-7
+        k = strong_poles[1].k_pole
+        region = SearchRegion(k.real - 0.3, k.real + 0.7, k.imag - 0.5, k.imag + 1e-10)
+        with pytest.raises(PoleOnContourError, match="did not resolve"):
+            pole_count(STRONG, region)
+
     def test_matches_find_poles(self, strong_poles):
         assert pole_count(STRONG, ACCEPT_REGION) == len(strong_poles)
 

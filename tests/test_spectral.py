@@ -22,7 +22,12 @@ from gamow.spectral import (
 )
 from gamow import spectral
 from gamow.spectral import _adaptive_k_grid
-from oracles import shell_denominator, where_bound_functions, where_continuum_functions
+from oracles import (
+    phased_hardy_leakage,
+    shell_denominator,
+    where_bound_functions,
+    where_continuum_functions,
+)
 
 R_MAX, N_R = 10.0, 4001
 ATTRACTIVE = DeltaShellModel(g=-5.0, a=1.0)
@@ -342,14 +347,17 @@ class TestGridBudget:
 
         limit = spectral.MAX_GRID_ELEMENTS // spectral._HARDY_WORK_ARRAYS
         check(limit)
-        with pytest.raises(ValueError, match=f"{limit + 1} energy samples need about 8 work"):
+        with pytest.raises(ValueError, match=f"{limit + 1} energy samples need about "
+                                             f"{spectral._HARDY_WORK_ARRAYS} work"):
             check(limit + 1)
         with pytest.raises(ValueError, match=f"grid of {spectral.MAX_GRID_ELEMENTS + 1} points exceeds"):
             check(spectral.MAX_GRID_ELEMENTS + 1)
 
     def test_hardy_path_peak_within_its_work_arrays(self):
-        # what gamow hardy holds: the samples, then both half-plane checks
+        # what gamow hardy holds: the samples, then both half-plane checks, the first of
+        # them building the chirp
         n = 2**14
+        spectral._half_bin_chirp.cache_clear()
         tracemalloc.start()
         try:
             e, f = windowed_resonance_samples(10.0, 0.1, -990.0, 1010.0, n)
@@ -470,6 +478,26 @@ class TestHardyCheck:
         sel = (t > 10.0) & (t < 50.0)
         slope = np.polyfit(t[sel], np.log(np.abs(transform[sel])), 1)[0]
         assert slope == pytest.approx(-0.05, rel=1e-6)
+
+    def test_leakage_matches_phased_transform(self):
+        # the dropped factor de e^{-i e0 t} has modulus de, which the leakage ratio cancels
+        rng = np.random.default_rng(1212)
+        for _ in range(50):
+            e_r = 10.0 ** rng.uniform(-1.0, 3.0)
+            gamma = e_r * 10.0 ** rng.uniform(-4.0, -0.5)
+            half = 0.5 * gamma * 10.0 ** rng.uniform(2.5, 4.5)
+            n = 2 * int(rng.integers(2**9, 2**13))
+            e, f = windowed_resonance_samples(e_r, gamma, e_r - half, e_r + half, n)
+            if rng.random() < 0.5:
+                f = np.conj(f)
+            for half_plane in ("upper", "lower"):
+                want = phased_hardy_leakage(e, f, half_plane)
+                assert hardy_check(e, f, half_plane).leakage == pytest.approx(want, rel=2e-15)
+
+    def test_chirp_kept_once_and_read_only(self):
+        chirp = spectral._half_bin_chirp(4096)
+        assert spectral._half_bin_chirp(4096) is chirp
+        assert not chirp.flags.writeable
 
     def test_fft_call_predates_numpy_2(self, monkeypatch):
         # numpy < 2.0 (pyproject allows 1.24) has no out= on np.fft.fft
