@@ -32,7 +32,11 @@ Leakage is the energy fraction on the forbidden half-line (t < 0 for the
 upper class, t > 0 for the lower); membership means leakage below
 HARDY_LEAKAGE_THRESHOLD.  The number of samples must be even, so that the t
 grid, offset by half a bin, has no sample at t = 0 and the two leakages of f
-and conj(f) sum to one exactly.
+and conj(f) sum to one exactly.  Callers ask about both classes of the same
+samples, so hardy_check transforms each sampled function once: the call that
+takes the FFT keeps a read-only copy of the samples with the two half-line
+sums and the total of |F|^2, and the next call drops that entry, using the
+sums when its samples equal the copy.
 
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
@@ -93,6 +97,7 @@ _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_
 _GROUP_COLUMNS = 64               # continuum columns per angle-addition group
 _BLOCK_ROWS = 128                 # k rows per product when the continuum is applied
 _HARDY_WORK_ARRAYS = 10           # n-element float64 arrays: Hardy samples + hardy_check + chirp
+_hardy_memo = None                # hardy_check's (samples, t<0 sum, t>0 sum, total) until reused
 
 
 def check_grid_budget(*shape: int) -> None:
@@ -113,7 +118,7 @@ def _check_work_budget(shape: tuple[int, ...], arrays: int, what: str) -> None:
 
     Each path charges the tracemalloc peak of its run per grid point, rounded
     up (the Hardy samples plus one hardy_check with a cold chirp cache hold
-    9.02 arrays of n elements, so they are charged _HARDY_WORK_ARRAYS = 10); a
+    9.03 arrays of n elements, so they are charged _HARDY_WORK_ARRAYS = 10); a
     shape beyond the grid budget itself gets check_grid_budget's message.
     """
     check_grid_budget(*shape)
@@ -524,16 +529,26 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     """Classify a sampled f(E) by the time support of its Fourier transform.
 
     energies must be uniform, with an even number of samples so that the
-    half-bin-offset t grid has no sample at t = 0; |f| must have dropped
-    below END_DECAY_THRESHOLD (relative to its peak) at both ends of the
-    grid, otherwise the window truncation would fake leakage.  leakage is
+    half-bin-offset t grid has no sample at t = 0; each step may differ from
+    the first by max(1e-9 de, 2 ulp of max|E|), the rounding of a linspace
+    grid far from E = 0.  The samples must be finite and |f| must have
+    dropped below END_DECAY_THRESHOLD (relative to its peak) at both ends of
+    the grid, otherwise the window truncation would fake leakage.  leakage is
     the |F(t)|^2 fraction on the half-line forbidden to the requested class
     (t < 0 for "upper", t > 0 for "lower"); is_member = leakage <
     HARDY_LEAKAGE_THRESHOLD.  F(t) = de e^{-i e0 t} FFT(f chirp); the factor
     outside the FFT has modulus de and cancels in the leakage, so only the FFT
     is taken.  The chirp (_half_bin_chirp) of the last n is kept, 16 n bytes.
+
+    Callers ask about both classes of the same samples, so a transform serves
+    two calls: a call that computes one keeps a read-only copy of f with the
+    two half-line sums and the total of |F|^2 (another 16 n bytes), and the
+    next call takes that entry and drops it, using its sums when its own
+    samples equal the copy (+0 and -0 compare equal and give the same |F|^2).
+    Either way the leakage is the same float.
     The sample count times _HARDY_WORK_ARRAYS must be within MAX_GRID_ELEMENTS.
     """
+    global _hardy_memo
     if half_plane not in ("upper", "lower"):
         raise ValueError(f"half_plane must be 'upper' or 'lower', got {half_plane!r}")
     e = np.asarray(energies, dtype=float)
@@ -543,10 +558,17 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     _check_work_budget((e.size,), _HARDY_WORK_ARRAYS, "energy samples")
     if e.size % 2:
         raise ValueError(f"need an even number of samples, got {e.size}")
-    de = e[1] - e[0]
-    if de <= 0 or np.max(np.abs(np.diff(e) - de)) > 1e-9 * de:
+    # written so that a NaN anywhere fails, as does the NaN of an inf - inf; the ulp
+    # term admits linspace grids far from E = 0, whose steps round to a few ulp
+    with np.errstate(invalid="ignore"):
+        de = e[1] - e[0]
+        tol = max(1e-9 * de, 2.0 * np.spacing(max(abs(e[0]), abs(e[-1]))))
+        uniform = de > 0 and np.max(np.abs(np.diff(e) - de)) <= tol
+    if not uniform:
         raise ValueError("energy grid must be uniform and increasing")
     peak = float(np.max(np.abs(f)))
+    if not math.isfinite(peak):
+        raise ValueError("samples must be finite")
     if peak == 0.0:
         raise ValueError("samples are identically zero")
     end = max(abs(f[0]), abs(f[-1])) / peak
@@ -557,14 +579,24 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
         )
 
     n = e.size
-    # t grid offset by half a bin: for even n no sample at t = 0, symmetric under t -> -t,
-    # and t < 0 exactly on the first n/2 samples
-    transform = np.fft.fft(np.multiply(f, _half_bin_chirp(n)))
-    energy = np.abs(transform)
-    np.square(energy, out=energy)
-    total = float(energy.sum())
-    forbidden = energy[:n // 2] if half_plane == "upper" else energy[n // 2:]
-    leakage = float(forbidden.sum() / total)
+    # read once: a concurrent caller may replace or drop the entry meanwhile
+    memo, _hardy_memo = _hardy_memo, None
+    if memo is not None and np.array_equal(memo[0], f):
+        _, past, future, total = memo
+    else:
+        del memo  # a stale entry is freed before the transform's arrays are made
+        # t grid offset by half a bin: for even n no sample at t = 0, symmetric under
+        # t -> -t, and t < 0 exactly on the first n/2 samples
+        work = np.multiply(f, _half_bin_chirp(n))
+        # |F|^2 goes into work's first 8 n bytes, free until f is copied in below
+        energy = np.abs(np.fft.fft(work), out=work.view(float)[:n])
+        np.square(energy, out=energy)
+        total = float(energy.sum())
+        past, future = energy[:n // 2].sum(), energy[n // 2:].sum()
+        np.copyto(work, f)
+        work.setflags(write=False)
+        _hardy_memo = (work, past, future, total)
+    leakage = float((past if half_plane == "upper" else future) / total)
     return HardyReport(half_plane=half_plane, leakage=leakage,
                        is_member=leakage < HARDY_LEAKAGE_THRESHOLD)
 

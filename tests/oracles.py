@@ -6,7 +6,7 @@ pole positions come from a dense |D| scan with recursive grid refinement
 condition (no bisection helper), and winding counts from a brute-force
 densely sampled contour.
 
-Seven exceptions are references kept verbatim from the code they
+Eight exceptions are references kept verbatim from the code they
 replaced: ``scalar_find_poles``, the seed-by-seed Newton search that
 ``find_poles`` ran before it became one array iteration;
 ``doubling_pole_count``, the winding count that doubled the samples on the
@@ -14,6 +14,8 @@ whole contour before ``pole_count`` bisected only its wide steps;
 ``phased_hardy_leakage``, the Hardy leakage with the full transform
 de e^{-i e0 t} FFT(f chirp) before ``hardy_check`` dropped the factor of
 modulus de and kept its chirp;
+``uncached_hardy_check``, ``hardy_check`` as it was before one transform
+began to serve both half-plane checks of the same samples;
 ``scalar_amplitude``, the one-time ``cmath`` evaluation of a semigroup law
 that ``dynamics.amplitude`` replaced; ``scalar_phase_shift_curve``, the
 point-by-point branch walk (with its interval bisection) that
@@ -46,7 +48,15 @@ from gamow.scattering import (
     denominator,
     s_matrix,
 )
-from gamow.spectral import FOURIER_KERNEL_SIGN
+from gamow.spectral import (
+    END_DECAY_THRESHOLD,
+    FOURIER_KERNEL_SIGN,
+    HARDY_LEAKAGE_THRESHOLD,
+    HardyReport,
+    _HARDY_WORK_ARRAYS,
+    _check_work_budget,
+    _half_bin_chirp,
+)
 
 _NEWTON_MAX_STEPS = 50
 _NEWTON_STEP_SCALE = 1e-7
@@ -254,6 +264,43 @@ def phased_hardy_leakage(energies, values, half_plane):
     total = float(energy.sum())
     forbidden = energy[:n // 2] if half_plane == "upper" else energy[n // 2:]
     return float(forbidden.sum() / total)
+
+
+def uncached_hardy_check(energies, values, half_plane: str) -> HardyReport:
+    """hardy_check with one FFT per call, kept verbatim."""
+    if half_plane not in ("upper", "lower"):
+        raise ValueError(f"half_plane must be 'upper' or 'lower', got {half_plane!r}")
+    e = np.asarray(energies, dtype=float)
+    f = np.asarray(values, dtype=complex)
+    if e.ndim != 1 or e.size < 16 or f.shape != e.shape:
+        raise ValueError("need matching 1-d grids of at least 16 samples")
+    _check_work_budget((e.size,), _HARDY_WORK_ARRAYS, "energy samples")
+    if e.size % 2:
+        raise ValueError(f"need an even number of samples, got {e.size}")
+    de = e[1] - e[0]
+    if de <= 0 or np.max(np.abs(np.diff(e) - de)) > 1e-9 * de:
+        raise ValueError("energy grid must be uniform and increasing")
+    peak = float(np.max(np.abs(f)))
+    if peak == 0.0:
+        raise ValueError("samples are identically zero")
+    end = max(abs(f[0]), abs(f[-1])) / peak
+    if end > END_DECAY_THRESHOLD:
+        raise ValueError(
+            f"insufficient end decay: |f|/max|f| = {end:.3g} at the grid ends "
+            f"(need <= {END_DECAY_THRESHOLD})"
+        )
+
+    n = e.size
+    # t grid offset by half a bin: for even n no sample at t = 0, symmetric under t -> -t,
+    # and t < 0 exactly on the first n/2 samples
+    transform = np.fft.fft(np.multiply(f, _half_bin_chirp(n)))
+    energy = np.abs(transform)
+    np.square(energy, out=energy)
+    total = float(energy.sum())
+    forbidden = energy[:n // 2] if half_plane == "upper" else energy[n // 2:]
+    leakage = float(forbidden.sum() / total)
+    return HardyReport(half_plane=half_plane, leakage=leakage,
+                       is_member=leakage < HARDY_LEAKAGE_THRESHOLD)
 
 
 def scalar_amplitude(law: Law, pole: ResonancePole, t: float) -> complex:

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -270,6 +271,20 @@ class TestBenchContract:
                 value = measure(args, result)
                 assert isinstance(value, numbers.Real) and value >= 0, name
 
+    def test_import_layer_reports_every_module(self, monkeypatch, tmp_path):
+        # the traced run exits 1 when `import gamow` stops reporting a module it times
+        path = pathlib.Path(__file__).parents[1] / "bench" / "run.py"
+        monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends bench/
+        spec = importlib.util.spec_from_file_location("bench_run", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "OUT", tmp_path)
+        metrics = module.import_layer(time.monotonic() + 60)
+        assert sorted(metrics) == ["import.numpy_ms", "import.scipy_optimize_ms",
+                                   "import.total_ms"]
+        for name, metric in metrics.items():
+            assert metric["unit"] == "ms" and metric["value"] > 0, name
+
     def test_main_calls_module_globals(self, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "parse_args", lambda argv: seen.append(argv) or "parsed")
@@ -396,6 +411,11 @@ class TestExitCodes:
     def test_usage_error_exits_two(self, sub):
         result = invoke(*self.CASES[sub]["usage"])
         assert result.returncode == 2
+
+    def test_narrow_window_far_from_zero_exits_zero(self):
+        # np.linspace steps near E = 10 round to 1 ulp (1.8e-15), above 1e-9 de (1.5e-15)
+        result = invoke("hardy", "--pole", "10,0.1", "--emin", "9.9", "--emax", "10.1")
+        assert result.returncode == 0, result.stderr
 
     def test_empty_argv_prints_usage(self):
         result = invoke()

@@ -1,5 +1,7 @@
 """Eigenfunction-expansion completeness and the Paley-Wiener classifier."""
 
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -25,6 +27,7 @@ from gamow.spectral import _adaptive_k_grid
 from oracles import (
     phased_hardy_leakage,
     shell_denominator,
+    uncached_hardy_check,
     where_bound_functions,
     where_continuum_functions,
 )
@@ -358,6 +361,7 @@ class TestGridBudget:
         # them building the chirp
         n = 2**14
         spectral._half_bin_chirp.cache_clear()
+        spectral._hardy_memo = None
         tracemalloc.start()
         try:
             e, f = windowed_resonance_samples(10.0, 0.1, -990.0, 1010.0, n)
@@ -501,6 +505,7 @@ class TestHardyCheck:
 
     def test_fft_call_predates_numpy_2(self, monkeypatch):
         # numpy < 2.0 (pyproject allows 1.24) has no out= on np.fft.fft
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda a: fft(a))
         report = hardy_check(self.e, self.f, "upper")
@@ -528,6 +533,32 @@ class TestHardyCheck:
         with pytest.raises(ValueError, match="uniform"):
             hardy_check(e, f, "upper")
 
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (1, np.nan), (500, np.nan),
+                                              (-1, np.nan), (0, -np.inf)])
+    def test_non_finite_grid_rejected(self, index, value):
+        # NaN compares false both ways, so it once passed the uniformity test (leakage 0.46)
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 1024)
+        e[index] = value
+        with pytest.raises(ValueError, match="uniform and increasing"):
+            hardy_check(e, f, "upper")
+
+    def test_linspace_grid_far_from_zero_accepted(self):
+        # near |E| = 10 one ulp (1.8e-15) exceeds 1e-9 de (1.5e-15) on this window
+        e, f = windowed_resonance_samples(10.0, 0.1, 9.9, 10.1, 2**17)
+        assert 0.0 < hardy_check(e, f, "upper").leakage < 1.0
+        e[1000] += 1e-6 * (e[1] - e[0])
+        with pytest.raises(ValueError, match="uniform and increasing"):
+            hardy_check(e, f, "upper")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, monkeypatch, value):
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 1024)
+        f[300] = value
+        with pytest.raises(ValueError, match="samples must be finite"):
+            hardy_check(e, f, "upper")
+        assert spectral._hardy_memo is None
+
     def test_odd_sample_count_rejected(self):
         # an odd n puts a t sample at 0, in neither half-line: unchecked, the
         # leakages of f and conj(f) sum to 1 - 7.8e-4 at n = 4097
@@ -544,6 +575,116 @@ class TestHardyCheck:
         report = hardy_check(self.e, self.f, "upper")
         assert isinstance(report, HardyReport)
         assert 0.0 <= report.leakage <= 1.0
+
+
+class TestHardyMemo:
+    """One transform serves both half-plane checks of the same samples; every report
+    equals the one-transform-per-call oracle's, leakage and is_member compared with ==."""
+
+    N = 2**13
+    CASES = {
+        "upper-then-lower": ([("a", "upper"), ("a", "lower")], 1),
+        "lower-then-upper": ([("a", "lower"), ("a", "upper")], 1),
+        "same-plane-twice": ([("a", "upper"), ("a", "upper")], 1),
+        "interleaved": ([("a", "upper"), ("b", "upper"), ("a", "lower"), ("b", "lower")], 4),
+        "equal-copy": ([("a", "upper"), ("a-copy", "lower")], 1),
+        "signed-zeros": ([("zeros", "upper"), ("negative-zeros", "lower")], 1),
+    }
+
+    def _sets(self):
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, self.N)
+        e_b, f_b = windowed_resonance_samples(3.0, 0.02, -17.0, 23.0, self.N)
+        zeros, negative_zeros = f.copy(), f.copy()
+        zeros[:8] = 0.0
+        negative_zeros[:8] = complex(-0.0, -0.0)
+        return {"a": (e, f), "a-copy": (e.copy(), f.copy()), "b": (e_b, np.conj(f_b)),
+                "zeros": (e, zeros), "negative-zeros": (e, negative_zeros)}
+
+    @staticmethod
+    def _counted_transforms(monkeypatch):
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a: calls.append(a.size) or fft(a))
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        return calls
+
+    @pytest.mark.parametrize("steps, transforms", CASES.values(), ids=CASES)
+    def test_reports_match_uncached(self, monkeypatch, steps, transforms):
+        sets = self._sets()
+        want = [uncached_hardy_check(*sets[name], half_plane) for name, half_plane in steps]
+        calls = self._counted_transforms(monkeypatch)
+        got = [hardy_check(*sets[name], half_plane) for name, half_plane in steps]
+        assert len(calls) == transforms
+        assert got == want
+
+    def test_samples_mutated_in_place_are_transformed_again(self, monkeypatch):
+        e, f = self._sets()["a"]
+        calls = self._counted_transforms(monkeypatch)
+        hardy_check(e, f, "upper")
+        np.conjugate(f, out=f)
+        report = hardy_check(e, f, "upper")
+        assert len(calls) == 2
+        assert report == uncached_hardy_check(e, f, "upper")
+        assert report.is_member is False
+
+    def test_entry_is_a_read_only_copy_dropped_by_its_hit(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        e, f = self._sets()["a"]
+        hardy_check(e, f, "upper")
+        kept = spectral._hardy_memo[0]
+        assert np.array_equal(kept, f) and not np.shares_memory(kept, f)
+        assert not kept.flags.writeable
+        hardy_check(e, f, "lower")
+        assert spectral._hardy_memo is None
+
+    @pytest.mark.parametrize("bad", ["nan", "step", "reversed"])
+    def test_every_check_runs_on_a_hit(self, monkeypatch, bad):
+        e, f = self._sets()["a"]
+        calls = self._counted_transforms(monkeypatch)
+        hardy_check(e, f, "upper")
+        e_bad = {"nan": np.where(np.arange(e.size) == 7, np.nan, e),
+                 "step": e + np.where(np.arange(e.size) < 9, 0.0, 1e-3),
+                 "reversed": e[::-1].copy()}[bad]
+        with pytest.raises(ValueError, match="uniform and increasing"):
+            hardy_check(e_bad, f, "lower")
+        with pytest.raises(ValueError, match="half_plane"):
+            hardy_check(e, f, "sideways")
+        report = hardy_check(e, f, "lower")
+        assert len(calls) == 1
+        assert report == uncached_hardy_check(e, f, "lower")
+
+    def test_threads_get_the_serial_reports(self):
+        sets = [windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 2**12),
+                windowed_resonance_samples(3.0, 0.02, -17.0, 23.0, 2**12)]
+        planes = ("upper", "lower")
+        serial = [[uncached_hardy_check(e, f, hp) for hp in planes] for e, f in sets]
+        wrong, finished = [], []
+
+        def worker(offset):
+            try:
+                for i in range(100):
+                    k = (i + offset) % 2
+                    for j, hp in enumerate(planes):
+                        report = hardy_check(*sets[k], hp)
+                        if report != serial[k][j]:
+                            wrong.append((k, hp, report))
+                finished.append(offset)
+            except Exception as exc:  # a thread's failure must reach the assertions below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert sorted(finished) == [0, 1, 2, 3]
 
 
 class TestWindowedSamples:
