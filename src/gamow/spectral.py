@@ -17,8 +17,9 @@ CONTINUUM_MEASURE below is that 2/pi.  Radial integrals use Simpson weights
 (the shell kink sits harmlessly on a panel edge when a/r_max * (n_r - 1) is
 an even integer, e.g. r_max = 10, n_r = 4001, a = 1); the k integral uses
 trapezoid weights on a grid that clusters nodes around any resonance too
-narrow for uniform spacing to resolve (found via the pole search), since a
-uniform grid stalls near 1e-2 relative error for sharp resonances.
+narrow for uniform spacing to resolve (the closed-form Lambert-W poles of
+scattering._branch_poles), since a uniform grid stalls near 1e-2 relative
+error for sharp resonances.
 
 The Paley-Wiener check classifies a sampled energy-space function by the
 time support of its Fourier transform, with the convention that f(E) pairs
@@ -67,7 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import DeltaShellModel, SearchRegion, bound_states, denominator, find_poles
+# find_poles is not called here; it stays a module attribute for bench/tracing.py,
+# which wraps spectral.find_poles.
+from .scattering import DeltaShellModel, _branch_poles, bound_states, denominator, find_poles
 
 __all__ = [
     "CONTINUUM_MEASURE",
@@ -333,34 +336,31 @@ def _apply_transpose(continuum: tuple, c: np.ndarray) -> np.ndarray:
 def _adaptive_k_grid(model: DeltaShellModel, k_max: float, n_k: int) -> np.ndarray:
     """k nodes: uniform background plus dense windows on narrow resonances.
 
-    A resonance counts as narrow when its |Im k_pole| is below four uniform
-    spacings; each narrow pole gets a window of +-40 |Im k_pole| sharing half
-    the node budget (split in proportion to 1/width).  With no narrow poles the
-    grid is plain uniform on (0, k_max]; so it is, without a pole search, when
-    n_k < 64 leaves no budget for windows or the spacing is so fine
-    (4 k_max / n_k <= 1e-14) that the search strip below the real axis is
-    empty.
+    The resonances are the closed-form Lambert-W poles with 0 < Re k < k_max
+    (scattering._branch_poles), at most n_k of them: more than one per node
+    could not each get a window.  A resonance counts as narrow when its
+    |Im k_pole| is below four uniform spacings; each narrow pole gets a window
+    of +-40 |Im k_pole| (overlapping windows merge) sharing half the node
+    budget (split in proportion to 1/width, at least 16 nodes each, so the
+    narrowest n_k // 32 windows are kept).  With no window (no narrow pole, or
+    none wide enough to hold two floats) the grid is plain uniform on
+    (0, k_max]; so it is, without computing any pole, when n_k < 64 leaves no
+    budget for windows.
     """
     k_lo = k_max / n_k
     uniform_dk = k_max / n_k
     narrow_cut = 4.0 * uniform_dk
-    if n_k < 64 or narrow_cut <= 1e-14:
+    if n_k < 64:
         return np.linspace(k_lo, k_max, n_k)
-    poles = find_poles(
-        model,
-        SearchRegion(0.0, k_max, -narrow_cut, -1e-14, n_re=96, n_im=12),
-    )
-    narrow = [p for p in poles if abs(p.k_pole.imag) < narrow_cut]
-    if not narrow:
-        return np.linspace(k_lo, k_max, n_k)
-
     windows = []
-    for p in narrow:
-        hw = 40.0 * abs(p.k_pole.imag)
-        lo = max(p.k_pole.real - hw, k_lo)
-        hi = min(p.k_pole.real + hw, k_max)
-        if lo < hi:
-            windows.append([lo, hi, abs(p.k_pole.imag)])
+    for k in _branch_poles(model, min(k_max, n_k * np.pi / model.a)).tolist():
+        hw = 40.0 * abs(k.imag)
+        lo = max(k.real - hw, k_lo)
+        hi = min(k.real + hw, k_max)
+        if abs(k.imag) < narrow_cut and lo < hi:
+            windows.append([lo, hi, abs(k.imag)])
+    if not windows:
+        return np.linspace(k_lo, k_max, n_k)
     windows.sort()
     merged: list[list[float]] = []
     for lo, hi, wd in windows:
@@ -369,6 +369,10 @@ def _adaptive_k_grid(model: DeltaShellModel, k_max: float, n_k: int) -> np.ndarr
             merged[-1][2] = min(wd, merged[-1][2])
         else:
             merged.append([lo, hi, wd])
+    # windows share half the budget with at least 16 nodes each: only the narrowest
+    # n_k // 32 fit, and the trim below would take the rest out of the narrowest ones
+    if len(merged) > n_k // 32:
+        merged = sorted(sorted(merged, key=lambda w: w[2])[:n_k // 32])
 
     budget = n_k // 2
     inv = np.array([1.0 / wd for _, _, wd in merged])
@@ -427,10 +431,9 @@ def build_decomposition(
     """Assemble bound and continuum eigendata on radial/momentum grids.
 
     n_r must be odd (Simpson weights), and n_k * n_r within MAX_GRID_ELEMENTS
-    (checked before the k-grid pole search or the continuum factors
-    allocate).  Bound eigenfunctions are normalized to unit quadrature norm;
-    a bound state too deep for that norm to be finite in float64 raises
-    ValueError.  The continuum is held as its angle-addition factors
+    (checked before the k grid or the continuum factors allocate).  Bound
+    eigenfunctions are normalized to unit quadrature norm; a bound state too
+    deep for that norm to be finite in float64 raises ValueError.  The continuum is held as its angle-addition factors
     (_continuum_factors), each region evaluated on its own columns.
     """
     _check_grid(model, k_max, n_k, r_max, n_r)

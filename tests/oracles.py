@@ -2,13 +2,14 @@
 
 Everything here deliberately avoids the library's own solution paths:
 pole positions come from a dense |D| scan with recursive grid refinement
-(no Newton), bound-state counts from sign changes of the raw matching
-condition (no bisection helper), and winding counts from a brute-force
-densely sampled contour.
+(no Newton) or from mpmath's Lambert W at 50 digits, bound-state counts
+from sign changes of the raw matching condition (no bisection helper), and
+winding counts from a brute-force densely sampled contour.
 
 Eight exceptions are references kept verbatim from the code they
 replaced: ``scalar_find_poles``, the seed-by-seed Newton search that
-``find_poles`` ran before it became one array iteration;
+``find_poles`` ran before it became one array iteration (with the same
+filter that drops a zero whose Re k is below Newton's resolution);
 ``doubling_pole_count``, the winding count that doubled the samples on the
 whole contour before ``pole_count`` bisected only its wide steps;
 ``phased_hardy_leakage``, the Hardy leakage with the full transform
@@ -35,6 +36,7 @@ function, so the two agree to rounding (1e-12 of the largest element).
 
 import cmath
 
+import mpmath
 import numpy as np
 
 from gamow.dynamics import Kind, Law
@@ -121,6 +123,25 @@ def dense_scan_zeros(g, a, re0, re1, im0, im1, n_re=600, n_im=400, rounds=12):
     return out
 
 
+def mp_lambert_poles(g, a, re_max):
+    """Every zero of D with 0 < Re k < re_max and Im k < 0, at 50 digits, ascending in Re k.
+
+    k = (i/2a) (W_n(g a e^{g a}) - g a) on every mpmath branch n that can reach
+    Re k < re_max; a zero with Re k at the 50-digit rounding level (the virtual
+    state of -1 <= g a < 0, or k = 0 at the branch point g a = -1) is on the
+    imaginary axis and is left out.
+    """
+    with mpmath.workdps(50):
+        ga = mpmath.mpf(g) * mpmath.mpf(a)
+        z = ga * mpmath.exp(ga)
+        out = []
+        for n in range(0, -int(re_max * a / np.pi) - 3, -1):
+            k = mpmath.mpc(0, 1) / (2 * mpmath.mpf(a)) * (mpmath.lambertw(z, n) - ga)
+            if 1e-20 * (1 + abs(k)) < k.real < re_max and k.imag < 0:
+                out.append(k)
+    return sorted(out, key=lambda k: k.real)
+
+
 def brute_winding(g, a, re0, re1, im0, im1, n=200000):
     """Winding count of D around a rectangle from a flat, very dense walk.
 
@@ -196,7 +217,8 @@ def scalar_find_poles(model, region):
             k = _newton_zero(model, seed)
             if k is None or not region.contains(k):
                 continue
-            if not (k.real > 0 and k.imag < 0):
+            # Re k within Newton's resolution of zero is a virtual state, not a resonance
+            if not (k.real > _NEWTON_CONVERGED * (1.0 + abs(k)) and k.imag < 0):
                 continue
             if abs(denominator(model, k)) > _RESIDUAL_FACTOR * _term_scale(model, k):
                 continue

@@ -1,6 +1,7 @@
 """CLI contract: parsing, dispatch, formats, exit codes, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -290,10 +291,40 @@ class TestBenchContract:
         monkeypatch.setattr(cli, "parse_args", lambda argv: seen.append(argv) or "parsed")
         monkeypatch.setattr(cli, "run", lambda args: seen.append(args) or 7)
         monkeypatch.setattr(sys, "argv", ["gamow", "reps", "--row", "1"])
-        with pytest.raises(SystemExit) as exc:
-            cli.main()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main()
+        finally:
+            gc.unfreeze()  # main() freezes the collector's objects; the test process goes on
         assert exc.value.code == 7
         assert seen == [["reps", "--row", "1"], "parsed"]
+
+    def test_main_freezes_module_state(self, monkeypatch):
+        # what is alive when main() starts lives until exit, so the collections the
+        # interpreter runs at exit should skip it
+        frozen = []
+        monkeypatch.setattr(cli, "parse_args", lambda argv: frozen.append(gc.get_freeze_count()))
+        monkeypatch.setattr(cli, "run", lambda args: 0)
+        before = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit):
+                cli.main()
+        finally:
+            gc.unfreeze()
+        assert frozen[0] > before
+        assert gc.get_freeze_count() == 0
+
+
+class TestPolesOutput:
+    @pytest.mark.parametrize("g", ["-1", "-0.9"])
+    def test_virtual_state_is_not_a_resonance(self, capsys, g):
+        # for -1 <= g a < 0, Newton also lands on the virtual state on the negative
+        # imaginary axis (or k = 0 at g a = -1); its Re k of 1e-42 is rounding
+        argv = ["poles", f"--g={g}", "--a", "1", "--re", "0,5", "--im=-3,0", "--format", "json"]
+        assert run(parse_args(argv)) == 0
+        poles = json.loads(capsys.readouterr().out)["poles"]
+        assert [round(p["re_k"], 4) for p in poles] == [3.7307 if g == "-1" else 3.7304]
+        assert poles[0]["im_k"] == pytest.approx(-1.0444 if g == "-1" else -1.0972, abs=1e-4)
 
 
 class TestJsonOutput:

@@ -1,5 +1,6 @@
 """Delta-shell S-matrix, pole search, bound states, Breit-Wigner fits."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,7 @@ from oracles import (
     brute_winding,
     dense_scan_zeros,
     doubling_pole_count,
+    mp_lambert_poles,
     scalar_find_poles,
     scalar_phase_shift_curve,
     shell_denominator,
@@ -193,6 +195,51 @@ class TestFindPolesBitIdentity:
         got = [p.k_pole for p in find_poles(STRONG, ACCEPT_REGION)]
         assert len(got) == 3
         assert got == [p.k_pole for p in scalar_find_poles(STRONG, ACCEPT_REGION)]
+
+
+class TestBranchPoles:
+    """The closed-form poles against mpmath's Lambert W at 50 digits (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("g, a", [
+        (-1.0, 1.0), (-0.5, 1.0), (-0.9, 2.0), (1e-6, 1.0), (-1e-6, 1.0), (1e4, 1.0),
+        (-1e4, 1.0), (1e4, 1.2345), (100.0, 1.0), (-5.0, 1.0), (2.0, 1.5), (5e-324, 1.0),
+    ], ids=["threshold", "virtual-0.5", "virtual-0.9-a2", "weak", "weak-attractive", "g1e4",
+            "g-1e4", "g1e4-between", "strong", "attractive", "moderate", "deepest"])
+    def test_matches_50_digit_lambert_w(self, g, a):
+        got = scattering._branch_poles(DeltaShellModel(g=g, a=a), 30.0)
+        want = mp_lambert_poles(g, a, 30.0)
+        assert len(got) == len(want) > 0
+        for k, ref in zip(got.tolist(), want):
+            assert abs(mpmath.mpc(k) - ref) <= 1e-12 * abs(ref)
+            # Im k keeps its own digits, also for the narrow poles of g = 1e4 (|Im k| ~ 1e-7)
+            assert abs(mpmath.mpf(k.imag) - ref.imag) <= 1e-12 * abs(ref.imag)
+        # branch m lies in (m - 1/2) pi < a Re k <= (m + 1/2) pi: nothing at rounding
+        # level on the imaginary axis, where the virtual state of -1 < g a < 0 sits
+        m = np.arange(1, got.size + 1)
+        assert np.all(((m - 0.5) * np.pi < got.real * a) & (got.real * a <= (m + 0.5) * np.pi))
+
+    def test_deepest_pole_is_inside_im_ka_bound(self):
+        # |Im k| a = ln|1 + u / g a| / 2 is largest for the smallest g a, 5e-324: about 375,
+        # so no float64 model has a pole near IM_KA_BOUND (the closed form never evaluates
+        # e^{ika} anyway)
+        deepest = scattering._branch_poles(DeltaShellModel(g=5e-324, a=1.0), 30.0)
+        assert 370.0 < np.max(np.abs(deepest.imag)) < IM_KA_BOUND
+
+    def test_free_shell_has_no_poles(self):
+        # g a underflows to 0: as at g = 0, S = 1 and D has no zero
+        model = DeltaShellModel(g=1e-200, a=1e-200)
+        assert model.g * model.a == 0.0
+        assert scattering._branch_poles(model, 1e300).size == 0
+
+    def test_re_max_bounds_the_branches(self):
+        got = scattering._branch_poles(STRONG, 9.4)
+        assert got.size == 3 and got[-1].real < 9.4
+        assert scattering._branch_poles(STRONG, 0.5 * np.pi).size == 0
+
+    def test_unconverged_branch_raises(self, monkeypatch):
+        monkeypatch.setattr(scattering, "_HALLEY_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge in 1 Halley steps"):
+            scattering._branch_poles(STRONG, 30.0)
 
 
 def count_regions(seed, n_each):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gamow import scattering
 from gamow.scattering import DeltaShellModel, bound_states
 from gamow.spectral import (
     CONTINUUM_MEASURE,
@@ -89,7 +90,7 @@ class TestDecomposition:
         assert np.max(np.abs(row[outside])) == pytest.approx(1.0, abs=1e-3)
 
     def test_tiny_k_max_gives_uniform_grid(self):
-        # 4 k_max / n_k <= 1e-14 leaves no strip below the axis to search
+        # every resonance has Re k > pi / 2a, far above k_max
         grid = _adaptive_k_grid(STRONG, 1e-12, 1000)
         assert np.array_equal(grid, np.linspace(1e-15, 1e-12, 1000))
 
@@ -99,7 +100,8 @@ class TestDecomposition:
 
     def test_small_n_k_skips_pole_search(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(spectral, "find_poles", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr(spectral, "_branch_poles",
+                            lambda *args: calls.append(args) or np.empty(0, dtype=complex))
         grid = _adaptive_k_grid(STRONG, 30.0, 32)
         assert calls == []
         assert np.array_equal(grid, np.linspace(30.0 / 32, 30.0, 32))
@@ -120,6 +122,62 @@ class TestDecomposition:
         energy = bound_states(DeltaShellModel(g=g, a=1.0))[0]
         with pytest.raises(ValueError, match=f"bound state at E = {energy:.12g} is too deep"):
             build_decomposition(DeltaShellModel(g=g, a=1.0), 30.0, 32, R_MAX, N_R)
+
+
+def _kgrid_models(seed, n):
+    """Seeded models in turn strong (g a in [50, 150]), attractive ([-10, -7]), weak
+    (|g a| < 0.95) and anywhere in g a in [2, 1e4], with a in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for i in range(n):
+        a = rng.uniform(0.5, 2.0)
+        ga = (rng.uniform(50.0, 150.0), -rng.uniform(7.0, 10.0), rng.uniform(-0.95, 0.95),
+              10.0 ** rng.uniform(0.3, 4.0))[i % 4]
+        models.append(DeltaShellModel(g=ga / a, a=a))
+    return models
+
+
+class TestKGridPoles:
+    """The k grid's narrow poles, now closed-form Lambert-W branches, are the ones the
+    Newton strip search below the real axis found, on the CLI default grid."""
+
+    K_MAX, N_K = 30.0, 2000
+    MODELS = _kgrid_models(17, 64) + [ATTRACTIVE, STRONG, DeltaShellModel(g=1e4, a=1.2345)]
+
+    def _narrow(self, poles):
+        return [k for k in poles if abs(k.imag) < 4.0 * self.K_MAX / self.N_K]
+
+    def test_narrow_poles_match_newton_strip_search(self):
+        cut = 4.0 * self.K_MAX / self.N_K
+        strip = scattering.SearchRegion(0.0, self.K_MAX, -cut, -1e-14, n_re=96, n_im=12)
+        with_narrow = 0
+        for model in self.MODELS:
+            got = self._narrow(spectral._branch_poles(model, self.K_MAX).tolist())
+            want = self._narrow([p.k_pole for p in scattering.find_poles(model, strip)])
+            assert len(got) == len(want), model
+            assert all(abs(k - z) <= 1e-12 * abs(z) for k, z in zip(got, want)), model
+            with_narrow += bool(got)
+        assert 20 <= with_narrow <= len(self.MODELS) - 20  # both kinds of grid are covered
+
+    def test_uniform_when_no_pole_is_narrow(self):
+        uniform = np.linspace(self.K_MAX / self.N_K, self.K_MAX, self.N_K)
+        for model in self.MODELS:
+            grid = _adaptive_k_grid(model, self.K_MAX, self.N_K)
+            narrow = self._narrow(spectral._branch_poles(model, self.K_MAX).tolist())
+            assert np.array_equal(grid, uniform) == (not narrow), model
+            assert grid.size == self.N_K and np.all(np.diff(grid) > 0)
+        # every `spectral` golden uses g = -5, a = 1
+        assert np.array_equal(_adaptive_k_grid(ATTRACTIVE, self.K_MAX, self.N_K), uniform)
+
+    def test_only_the_narrowest_windows_that_fit_are_kept(self):
+        # g = 1e6 puts 954 separate narrow poles below k = 3000; 2000 // 32 = 62 windows fit
+        model = DeltaShellModel(g=1e6, a=1.0)
+        poles = spectral._branch_poles(model, 3000.0)
+        grid = _adaptive_k_grid(model, 3000.0, self.N_K)
+        assert poles.size == 954 and grid.size == self.N_K and np.all(np.diff(grid) > 0)
+        near = [np.min(np.abs(grid - k.real)) / abs(k.imag) for k in poles[[0, 61, 62, 953]]]
+        assert near[0] < 1.0 and near[1] < 1.0       # inside the windows of branches 1 and 62
+        assert near[2] > 100.0 and near[3] > 100.0   # branches 63 and 954 get background only
 
 
 class TestPiecewiseEigenfunctions:
