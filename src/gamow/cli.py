@@ -22,8 +22,8 @@ __all__ = ["parse_args", "run", "main"]
 # float64 arrays of the grid's size each subcommand holds per grid point: its
 # tracemalloc peak at 2^14 points (json output, the largest) plus one, rounded up
 _POLES_WORK_ARRAYS = 22
-_PHASE_WORK_ARRAYS = 182
-_EVOLVE_WORK_ARRAYS = 223
+_PHASE_WORK_ARRAYS = 134
+_EVOLVE_WORK_ARRAYS = 164
 
 
 def _fmt(x: float) -> str:
@@ -127,15 +127,24 @@ def parse_args(argv) -> argparse.Namespace:
     return _build_parser().parse_args(argv)
 
 
-def _emit(args, text_lines, json_obj, csv_rows, csv_header):
-    if args.format == "json":
-        body = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        lines = [",".join(csv_header)]
-        lines += [",".join(row) for row in csv_rows]
-        body = "\n".join(lines) + "\n"
+def _emit(args, header, rows, text=(), data=None, key=None):
+    """Render only args.format; rows (lists of _fmt cells) is read once, so a lazy
+    source formats no cell for a format that was not asked for.
+
+    csv is header and rows; json is data, with the rows as records under key when a
+    key is given; text is the text lines, followed by the rows' table when a key is given.
+    """
+    if args.format == "csv":
+        lines = [",".join(line) for line in [header, *rows]]
+    elif args.format == "json":
+        if key is not None:
+            # cells are _fmt strings, so float() rounds to 12 digits
+            data = {**data, key: [{name: float(cell) for name, cell in zip(header, row)}
+                                  for row in rows]}
+        lines = [json.dumps(data, indent=2, sort_keys=True)]
     else:
-        body = "\n".join(text_lines) + "\n"
+        lines = [*text, *(_table(header, rows) if key is not None else ())]
+    body = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -146,11 +155,6 @@ def _emit(args, text_lines, json_obj, csv_rows, csv_header):
 def _table(header, rows) -> list[str]:
     """Text table lines: every cell right-aligned in a 16-character column."""
     return ["  ".join(f"{cell:>16s}" for cell in line) for line in [header, *rows]]
-
-
-def _records(header, rows) -> list[dict]:
-    """JSON records keyed by header; cells are _fmt strings, so float() rounds to 12 digits."""
-    return [{key: float(cell) for key, cell in zip(header, row)} for row in rows]
 
 
 def _matrix_lines(name: str, matrix: np.ndarray, antilinear: bool) -> list[str]:
@@ -180,7 +184,7 @@ def _run_reps(args) -> None:
         text += _matrix_lines(name, matrix, op.antilinear)
         json_obj[name.lower()] = matrix.tolist()
     rows = [[name, str(value)] for name, value in relations.items()]
-    _emit(args, text, json_obj, rows, ["relation", "value"])
+    _emit(args, ["relation", "value"], rows, text, json_obj)
 
 
 def _run_poles(args) -> None:
@@ -188,17 +192,15 @@ def _run_poles(args) -> None:
     spectral._check_work_budget(args.seeds, _POLES_WORK_ARRAYS, "seeds")
     region = scattering.SearchRegion(*args.re, *args.im, n_re=args.seeds[0], n_im=args.seeds[1])
     poles = scattering.find_poles(model, region)
-    header = ["re_k", "im_k", "e_r", "gamma", "abs_denominator"]
-    rows = [
+    rows = (
         [_fmt(x) for x in (pole.k_pole.real, pole.k_pole.imag, pole.e_r, pole.gamma,
                            abs(complex(scattering.denominator(model, pole.k_pole))))]
         for pole in poles
-    ]
+    )
     text = [f"{len(poles)} pole(s) in Re k in [{_fmt(region.re_min)}, {_fmt(region.re_max)}], "
             f"Im k in [{_fmt(region.im_min)}, {_fmt(region.im_max)}]"]
-    text += _table(header, rows)
-    json_obj = {"g": _round12(model.g), "a": _round12(model.a), "poles": _records(header, rows)}
-    _emit(args, text, json_obj, rows, header)
+    _emit(args, ["re_k", "im_k", "e_r", "gamma", "abs_denominator"], rows, text,
+          {"g": _round12(model.g), "a": _round12(model.a)}, key="poles")
 
 
 def _run_phase(args) -> None:
@@ -209,10 +211,9 @@ def _run_phase(args) -> None:
     energies = np.linspace(args.emin, args.emax, args.n)
     delta = scattering.phase_shift_curve(model, energies)
     s2 = np.sin(delta) ** 2
-    header = ["E", "delta", "sin2delta"]
-    rows = [[_fmt(e), _fmt(d), _fmt(s)] for e, d, s in zip(energies, delta, s2)]
-    json_obj = {"g": _round12(model.g), "a": _round12(model.a), "samples": _records(header, rows)}
-    _emit(args, _table(header, rows), json_obj, rows, header)
+    rows = ([_fmt(e), _fmt(d), _fmt(s)] for e, d, s in zip(energies, delta, s2))
+    _emit(args, ["E", "delta", "sin2delta"], rows,
+          data={"g": _round12(model.g), "a": _round12(model.a)}, key="samples")
 
 
 def _run_evolve(args) -> None:
@@ -224,18 +225,14 @@ def _run_evolve(args) -> None:
     times = np.linspace(args.t0, args.t1, args.n) if args.n > 1 else np.array([args.t0])
     state = dynamics.GamowState(pole=pole, kind=law.kind, regime=law.regime)
     samples = dynamics.evolution_series(state, times)
-    header = ["t", "re_amp", "im_amp", "survival"]
-    rows = [
+    rows = (
         [_fmt(t), _fmt(amp.real), _fmt(amp.imag), _fmt(survival)]
         for t, amp, survival in samples.tolist()
-    ]
+    )
     text = [f"law {law.code} ({law.kind.value}, r={law.regime}), domain {law.time_domain}"]
-    text += _table(header, rows)
-    json_obj = {
-        "er": _round12(args.er), "gamma": _round12(args.gamma), "law": law.code,
-        "samples": _records(header, rows),
-    }
-    _emit(args, text, json_obj, rows, header)
+    _emit(args, ["t", "re_amp", "im_amp", "survival"], rows, text,
+          {"er": _round12(args.er), "gamma": _round12(args.gamma), "law": law.code},
+          key="samples")
 
 
 def _run_spectral(args) -> None:
@@ -256,11 +253,8 @@ def _run_spectral(args) -> None:
         + ("" if not bound else " (E = " + ", ".join(_fmt(e) for e in bound) + ")"),
         f"relative L2 reconstruction error = {_fmt(error)}",
     ]
-    header = ["r", "input", "reconstructed"]
-    rows = [
-        [_fmt(r), _fmt(v), _fmt(w)]
-        for r, v, w in zip(decomp.r, packet.values, rebuilt.values)
-    ]
+    rows = ([_fmt(r), _fmt(v), _fmt(w)]
+            for r, v, w in zip(decomp.r, packet.values, rebuilt.values))
     json_obj = {
         "g": _round12(model.g), "a": _round12(model.a),
         "k_max": _round12(args.kmax), "n_k": int(decomp.k.size),
@@ -269,7 +263,7 @@ def _run_spectral(args) -> None:
         "bound_energies": [_round12(e) for e in bound],
         "reconstruction_error": _round12(error),
     }
-    _emit(args, text, json_obj, rows, header)
+    _emit(args, ["r", "input", "reconstructed"], rows, text, json_obj)
 
 
 def _run_hardy(args) -> None:
@@ -294,9 +288,8 @@ def _run_hardy(args) -> None:
             for rep in reports
         },
     }
-    header = ["half_plane", "leakage", "is_member"]
     rows = [[rep.half_plane, _fmt(rep.leakage), str(rep.is_member)] for rep in reports]
-    _emit(args, text, json_obj, rows, header)
+    _emit(args, ["half_plane", "leakage", "is_member"], rows, text, json_obj)
 
 
 _HANDLERS = {
@@ -313,7 +306,7 @@ def run(args: argparse.Namespace) -> int:
     """Run the parsed subcommand; returns the process exit code."""
     try:
         _HANDLERS[args.subcommand](args)
-    except (ValueError, OverflowError, scattering.PoleOnContourError,
+    except (ValueError, OverflowError, OSError, scattering.PoleOnContourError,
             scattering.ResonanceFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -157,12 +157,17 @@ def time_reverse(state: GamowState) -> GamowState:
 
 
 def semigroup_compose_check(pole: ResonancePole, law: Law, t1: float, t2: float) -> bool:
-    """True iff amplitude(t1 + t2) = amplitude(t1) * amplitude(t2) to a relative 1e-12.
+    """True iff amplitude(t1 + t2) = amplitude(t1) * amplitude(t2) to rounding.
 
-    Both times (and hence their sum) must lie in the law's half-domain.
+    The relative tolerance is max(1e-12, 4 eps |Gamma/2 + i E_R| (|t1| + |t2|)):
+    each exponent (Gamma/2 + i E_R) t is good to an ulp of itself, so at long times
+    the law holds only to that many ulps.  Both times (and hence their sum) must lie
+    in the law's half-domain.
     """
     a1, a2, combined = amplitude(law, pole, [t1, t2, t1 + t2]).tolist()
-    return abs(combined - a1 * a2) <= 1e-12 * abs(combined)
+    rate = abs(complex(0.5 * pole.gamma, pole.e_r))
+    tolerance = max(1e-12, 4.0 * np.finfo(float).eps * rate * (abs(t1) + abs(t2)))
+    return abs(combined - a1 * a2) <= tolerance * abs(combined)
 
 
 def evolution_series(state: GamowState, times) -> np.recarray:

@@ -216,13 +216,14 @@ class TestErrorMessages:
         assert run(parse_args(argv + sizes)) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     @pytest.mark.parametrize("path", list(GRID_PATHS))
-    def test_grid_input_peak_within_its_work_arrays(self, path):
-        # json is the largest output; a real stdout encodes it as the null device does
+    def test_grid_input_peak_within_its_work_arrays(self, path, fmt):
+        # a real stdout encodes the output as the null device does
         argv, arrays, _, _ = self.GRID_PATHS[path]
         n = 2**14
         sizes = ["128", "128"] if path == "poles" else [str(n)]
-        args = parse_args(argv + sizes + ["--format", "json"])
+        args = parse_args(argv + sizes + ["--format", fmt])
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
@@ -386,6 +387,39 @@ class TestCsvOutput:
         assert result.stdout == b""
         assert target.read_text().startswith("t,re_amp,im_amp,survival")
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_an_error(self, capsys, tmp_path, target):
+        out = tmp_path / "missing" / "x" if target == "missing-directory" else tmp_path
+        assert run(parse_args(["reps", "--row", "1", "--twice-j", "1", "--out", str(out)])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(str(out)) in captured.err
+
+
+class TestOnlyTheRequestedFormat:
+    ARGV = {
+        "phase": ["phase", "--g", "100", "--a", "1", "--emin", "9.5", "--emax", "9.9", "--n", "40"],
+        "evolve": ["evolve", "--law", "d0", "--er", "9.675", "--gamma", "0.0119", "--t0", "0",
+                   "--t1", "500", "--n", "40"],
+        "poles": ["poles", "--g", "100", "--a", "1", "--re", "0,10", "--im=-2,0"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("path", list(ARGV))
+    def test_other_formats_are_never_built(self, monkeypatch, path, fmt):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{path} --format {fmt} built another format")
+
+        if fmt != "text":
+            monkeypatch.setattr(cli, "_table", unreachable)
+        if fmt != "json":
+            monkeypatch.setattr(cli.json, "dumps", unreachable)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(parse_args(self.ARGV[path] + ["--format", fmt])) == 0
+        assert out.getvalue()
+
 
 class TestExitCodes:
     CASES = {
@@ -514,6 +548,12 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("case", GOLDEN["sweeps"]["invocations"], ids=_sweep_case_id)
     def test_wide_phase_sweep_matches_golden_hash(self, case):
         assert _stdout_sha256(case["argv"]) == case["sha256"]
+
+    def test_every_subcommand_pins_every_format(self):
+        pinned = {(args.subcommand, args.format)
+                  for args in map(parse_args, (case["argv"] for case in golden_values.CASES))}
+        wanted = {(name, fmt) for name in cli._HANDLERS for fmt in ("text", "json", "csv")}
+        assert wanted - pinned == set()
 
     def test_blas_threads_change_no_bit(self):
         # the continuum's angle-addition products and the rebuild run through BLAS

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gamow import dynamics
 from gamow.dynamics import (
     GamowState,
     HalfDomainError,
@@ -156,6 +157,19 @@ class TestSemigroup:
     def test_domain_enforced(self):
         with pytest.raises(HalfDomainError):
             semigroup_compose_check(POLE, Law.DECAYING_R0, 0.5, -0.2)
+
+    def test_long_times_hold_to_rounding(self):
+        # E_R t reaches 3.3e4 rad, whose own rounding is above a fixed 1e-12
+        pole = ResonancePole.from_energy(10.977581137898454, 0.001)
+        assert semigroup_compose_check(pole, Law.GROWING_R0, -1000.0, -2000.0)
+
+    def test_a_1e_9_error_fails(self, monkeypatch):
+        exact = dynamics.amplitude
+        monkeypatch.setattr(dynamics, "amplitude",
+                            lambda law, pole, t: exact(law, pole, t) * (1.0 + 1e-9))
+        # |E_R t| <= 100, where the tolerance is 1e-12
+        assert not semigroup_compose_check(POLE, Law.DECAYING_R0, 3.0, 7.0)
+        assert not semigroup_compose_check(POLE, Law.GROWING_R1, -3.0, -7.0)
 
     @pytest.mark.parametrize("law", list(Law), ids=lambda l: l.code)
     def test_randomized_functional_equation(self, law):

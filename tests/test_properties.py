@@ -2,16 +2,20 @@
 
 Each property is an identity of the model, checked on hypothesis-drawn inputs:
 unitarity and S(k) S(-k) = 1 on the real axis, the two Hardy leakages of f and
-conj(f), time reversal as an involution that reads a law backwards, and the
-semigroup law of each evolution law on its half-line.
+conj(f), time reversal as an involution that reads a law backwards, the
+semigroup law of each evolution law on its half-line, every pole the Newton
+search finds being a closed-form Lambert branch, and the linearity of the
+spectral reconstruction.
 """
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from gamow.dynamics import GamowState, Kind, Law, amplitude, semigroup_compose_check, time_reverse
-from gamow.scattering import DeltaShellModel, ResonancePole, s_matrix
-from gamow.spectral import hardy_check, windowed_resonance_samples
+from gamow.scattering import (DeltaShellModel, ResonancePole, SearchRegion, _branch_poles,
+                              find_poles, s_matrix)
+from gamow.spectral import (WavePacket, build_decomposition, gaussian_packet, hardy_check,
+                            reconstruct, windowed_resonance_samples)
 
 COUPLING = st.one_of(st.floats(1e-6, 1e4), st.floats(-1e4, -1e-6))
 RADIUS = st.floats(0.05, 4.0)
@@ -51,7 +55,37 @@ def test_time_reverse_is_an_involution_that_reads_the_law_backwards(pole, kind, 
 
 @given(pole=POLE, law=st.sampled_from(Law), t1=st.floats(0.0, 15.0), t2=st.floats(0.0, 15.0))
 def test_semigroup_law_on_each_half_line(pole, law, t1, t2):
-    # times in units of 1 / (E_R + Gamma): the phase E_R t is good to an ulp of itself,
-    # so the check's 1e-12 holds only while |E_R t| stays well below 1e3
-    unit = (1.0 if law.admits(1.0) else -1.0) / (pole.e_r + pole.gamma)
+    # times in units of 1 / Gamma, so |E_R t| reaches 1.5e6 rad
+    unit = (1.0 if law.admits(1.0) else -1.0) / pole.gamma
     assert semigroup_compose_check(pole, law, t1 * unit, t2 * unit)
+
+
+@given(g=COUPLING, a=RADIUS)
+def test_every_found_pole_is_a_lambert_branch(g, a):
+    # the benchmark's rectangle: Re k in [0.05, 10/a], Im k in [-2/a, 0)
+    model = DeltaShellModel(g=g, a=a)
+    branches = _branch_poles(model, 10.0 / a)
+    for pole in find_poles(model, SearchRegion(0.05, 10.0 / a, -2.0 / a, 0.0)):
+        k = pole.k_pole
+        assert k.real > 1e-12 * abs(k)
+        assert np.min(np.abs(branches - k)) <= 1e-12 * abs(k)
+
+
+# g a within +-150 keeps the bound state normalisable on the r_max = 10 grid
+SHELL = st.builds(lambda ga, a: (ga / a, a),
+                  st.one_of(st.floats(1e-3, 150.0), st.floats(-150.0, -1e-3)), RADIUS)
+# packets well inside the box: under 1e-6 of the norm beyond 0.8 r_max
+PACKET = st.builds(lambda center, width: gaussian_packet(center, width, 10.0, 401),
+                   st.floats(1.0, 5.0), st.floats(0.1, 0.5))
+
+
+@given(shell=SHELL, phi=PACKET, psi=PACKET, alpha=st.floats(-3.0, 3.0),
+       beta=st.floats(-3.0, 3.0))
+def test_reconstruction_is_linear(shell, phi, psi, alpha, beta):
+    g, a = shell
+    decomp = build_decomposition(DeltaShellModel(g=g, a=a), 5.0, 64, 10.0, 401)
+    both = WavePacket(alpha * phi.values + beta * psi.values, 10.0, 401)
+    rec_phi, rec_psi = reconstruct(decomp, phi).values, reconstruct(decomp, psi).values
+    diff = reconstruct(decomp, both).values - (alpha * rec_phi + beta * rec_psi)
+    scale = abs(alpha) * np.max(np.abs(rec_phi)) + abs(beta) * np.max(np.abs(rec_psi))
+    assert np.max(np.abs(diff)) <= 1e-13 * scale
