@@ -24,6 +24,9 @@ __all__ = ["parse_args", "run", "main"]
 _POLES_WORK_ARRAYS = 22
 _PHASE_WORK_ARRAYS = 134
 _EVOLVE_WORK_ARRAYS = 164
+# per entry of the row's largest operator: row one's json peak at twice_j = 100
+# (48.3; the doubled rows peak at 38.9) plus one, rounded up
+_REPS_WORK_ARRAYS = 50
 
 
 def _fmt(x: float) -> str:
@@ -167,6 +170,8 @@ def _matrix_lines(name: str, matrix: np.ndarray, antilinear: bool) -> list[str]:
 def _run_reps(args) -> None:
     row = reps.RepRow(args.row)
     spin = reps.SpinLabel(args.twice_j)
+    size = spin.dim * (1 if row is reps.RepRow.ONE else 2)
+    spectral._check_work_budget((size, size), _REPS_WORK_ARRAYS, "operator entries")
     report = reps.verify_group_relations(row, spin)
     relations = report.as_dict()
     operators = [("C", reps.build_c_matrix(spin)), ("Sigma", report.sigma),
@@ -306,8 +311,7 @@ def run(args: argparse.Namespace) -> int:
     """Run the parsed subcommand; returns the process exit code."""
     try:
         _HANDLERS[args.subcommand](args)
-    except (ValueError, OverflowError, OSError, scattering.PoleOnContourError,
-            scattering.ResonanceFitError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -218,10 +218,15 @@ def phase_shift(model: DeltaShellModel, e: float) -> float:
     return float(phase_shift_curve(model, [e])[0])
 
 
+def _jost(model: DeltaShellModel, k):
+    """e^{-ika} conj(D(k)), which is |D(k)| e^{i delta(k)} for real k (S = e^{2i delta})."""
+    return np.exp(-1j * k * model.a) * np.conj(denominator(model, k))
+
+
 def phase_shift_curve(model: DeltaShellModel, energies) -> np.ndarray:
     """delta(E) on a grid of finite positive energies, unwrapped to be continuous.
 
-    One s_matrix call on sqrt(E) gives the principal branch 0.5 arg S at every
+    arg _jost(sqrt(E)) mod pi is the principal branch 0.5 arg S at every
     point; each step then moves to the multiple of pi nearest the previous
     value (a cumulative sum of rounded jumps).  Precondition: adjacent samples
     must be closer together than the narrowest resonance they cross.  A
@@ -233,8 +238,8 @@ def phase_shift_curve(model: DeltaShellModel, energies) -> np.ndarray:
     ok = np.isfinite(e) & (e > 0)
     if not np.all(ok):
         raise ValueError(f"phase shift requires finite E > 0, got E = {e[~ok][0]}")
-    s = s_matrix(model, np.sqrt(e))
-    raw = 0.5 * np.fromiter(map(cmath.phase, s.tolist()), dtype=float, count=e.size)
+    theta = np.angle(_jost(model, np.sqrt(e)))
+    raw = theta - np.pi * np.round(theta / np.pi)
     out = raw.copy()
     out[1:] += np.pi * np.cumsum(np.round((raw[:-1] - raw[1:]) / np.pi))
     return out
@@ -459,34 +464,26 @@ def bound_states(model: DeltaShellModel) -> list[float]:
     """Binding energies E = -kappa^2 of the attractive shell (empty if none).
 
     The s-wave delta shell binds at most one state, present exactly when
-    g < 0 and |g| a > 1; kappa solves kappa = |g| (1 - e^{-2 kappa a}) / 2,
-    found by bisection.
+    s = -g a > 1; x = 2 kappa a is then the positive root of
+    G(x) = x + s expm1(-x).  G is convex and increasing to the right of that
+    root, so Newton's iteration from x = s falls monotonically onto it; it
+    stops where G is no longer positive or the next iterate does not decrease.
     """
-    if model.g >= 0:
+    s = -model.g * model.a
+    if s <= 1.0:
         return []
-    strength = -model.g
-    if strength * model.a <= 1.0:
-        return []
-
-    def f(kappa: float) -> float:
-        # expm1 keeps precision when kappa*a is tiny (threshold region)
-        return -0.5 * strength * np.expm1(-2.0 * kappa * model.a) - kappa
-
-    hi = 0.5 * strength + 1.0 / model.a
-    lo = (strength * model.a - 1.0) / (strength * model.a * model.a)
-    for _ in range(200):
-        if f(lo) > 0:
+    x = s
+    while True:
+        t = math.expm1(-x)
+        excess = x + s * t
+        if not excess > 0:  # at the root; every s >= 40 stops at x = s, where G' may round to 0
             break
-        lo *= 0.5
-    else:
-        return []
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    kappa = 0.5 * (lo + hi)
+        # G'(x) = 1 - s e^{-x} = (1 - s) - s expm1(-x)
+        after = x - excess / ((1.0 - s) - s * t)
+        if not after < x:
+            break
+        x = after
+    kappa = 0.5 * x / model.a
     return [-kappa * kappa]
 
 

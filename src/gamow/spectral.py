@@ -10,7 +10,8 @@ relation carries the measure (2/pi) dk:
 
 Inside the shell u_k(r) = sin(kr) / |D(k)|.  Both |D(k)| and the phase
 shift delta(k) come from the Jost function D(k) of scattering.denominator,
-as e^{-ika} conj(D(k)) = |D(k)| e^{i delta(k)} for real k, so the shell's
+as e^{-ika} conj(D(k)) = |D(k)| e^{i delta(k)} for real k (scattering._jost,
+which phase_shift_curve takes its delta from too), so the shell's
 matching conditions are written once, in the scattering module.
 
 CONTINUUM_MEASURE below is that 2/pi.  Radial integrals use Simpson weights
@@ -70,7 +71,7 @@ import numpy as np
 
 # find_poles is not called here; it stays a module attribute for bench/tracing.py,
 # which wraps spectral.find_poles.
-from .scattering import DeltaShellModel, _branch_poles, bound_states, denominator, find_poles
+from .scattering import DeltaShellModel, _branch_poles, _jost, bound_states, find_poles
 
 __all__ = [
     "CONTINUUM_MEASURE",
@@ -147,10 +148,6 @@ class WavePacket:
             raise ValueError("packet values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @property
-    def r(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.n_points)
 
 
 def gaussian_packet(center: float, width: float, r_max: float, n_points: int) -> WavePacket:
@@ -243,7 +240,7 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 def _continuum_factors(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> tuple:
     """The angle-addition factors of the real scattering solutions u_k(r).
 
-    From the Jost function D(k) (scattering.denominator): for real k,
+    From the Jost function D(k) (scattering._jost): for real k,
     e^{-ika} conj(D(k)) = M e^{i delta_k}, where delta_k is the s-wave phase
     shift (S = e^{2i delta_k}) and M = |D(k)|.  Matching at the shell then
     gives u_k(r) = sin(kr) / M for r <= a and sin(kr + delta_k) for r > a,
@@ -262,7 +259,7 @@ def _continuum_factors(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> 
     vectors of length n_k are allocated.
     """
     kc = k[:, None]
-    jost = np.exp(-1j * kc * model.a) * np.conj(denominator(model, kc))
+    jost = _jost(model, kc)
     m, delta = np.abs(jost), np.angle(jost)
     n_in = np.searchsorted(r, model.a, side="right")
     rotation = np.empty((k.size, 2, _GROUP_COLUMNS))

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the library's own solution paths:
 pole positions come from a dense |D| scan with recursive grid refinement
 (no Newton) or from mpmath's Lambert W at 50 digits, bound-state counts
-from sign changes of the raw matching condition (no bisection helper), and
-winding counts from a brute-force densely sampled contour.
+from sign changes of the raw matching condition, bound energies from
+mpmath's Lambert W at 60 digits, phase shifts from the textbook S-matrix at
+50 digits, and winding counts from a brute-force densely sampled contour.
 
-Eight exceptions are references kept verbatim from the code they
+Seven exceptions are references kept verbatim from the code they
 replaced: ``scalar_find_poles``, the seed-by-seed Newton search that
 ``find_poles`` ran before it became one array iteration (with the same
 filter that drops a zero whose Re k is below Newton's resolution);
@@ -18,10 +19,7 @@ modulus de and kept its chirp;
 ``uncached_hardy_check``, ``hardy_check`` as it was before one transform
 began to serve both half-plane checks of the same samples;
 ``scalar_amplitude``, the one-time ``cmath`` evaluation of a semigroup law
-that ``dynamics.amplitude`` replaced; ``scalar_phase_shift_curve``, the
-point-by-point branch walk (with its interval bisection) that
-``phase_shift_curve`` ran before it became one ``s_matrix`` call and a
-cumulative sum of rounded jumps; and ``where_continuum_functions`` and
+that ``dynamics.amplitude`` replaced; and ``where_continuum_functions`` and
 ``where_bound_functions``, the spectral eigenfunctions evaluated on the
 whole r grid for both regions and then selected with ``np.where``, before
 each region was evaluated on its own columns.  All are bit-identity
@@ -48,7 +46,6 @@ from gamow.scattering import (
     _term_scale,
     bound_states,
     denominator,
-    s_matrix,
 )
 from gamow.spectral import (
     END_DECAY_THRESHOLD,
@@ -140,6 +137,44 @@ def mp_lambert_poles(g, a, re_max):
             if 1e-20 * (1 + abs(k)) < k.real < re_max and k.imag < 0:
                 out.append(k)
     return sorted(out, key=lambda k: k.real)
+
+
+def mp_phase_shift_curve(g, a, energies):
+    """delta(E) at 50 digits from the textbook S-matrix, unwrapped like the library's curve.
+
+    S(k) = e^{-2ika} (e^{ika} + (g/k) sin ka) / (e^{-ika} + (g/k) sin ka) at
+    k = sqrt(E), each float input taken exactly; the principal branch is
+    0.5 arg S in (-pi/2, pi/2], and each point then moves to the multiple of
+    pi nearest the previous value.  Returns a list of mpf.
+    """
+    with mpmath.workdps(50):
+        g, a = mpmath.mpf(g), mpmath.mpf(a)
+        out = []
+        for e in energies:
+            k = mpmath.sqrt(mpmath.mpf(float(e)))
+            gs = g / k * mpmath.sin(k * a)
+            ika = mpmath.mpc(0, 1) * k * a
+            s = mpmath.exp(-2 * ika) * (mpmath.exp(ika) + gs) / (mpmath.exp(-ika) + gs)
+            d = mpmath.arg(s) / 2
+            if out:
+                d += mpmath.pi * mpmath.nint((out[-1] - d) / mpmath.pi)
+            out.append(d)
+    return out
+
+
+def mp_bound_energy(g, a):
+    """The bound energy -kappa^2 at 60 digits, or None when g a >= -1.
+
+    With s = -g a taken exactly from the two floats, x = 2 kappa a solves
+    x = s (1 - e^{-x}); its positive root is x = s + W_0(-s e^{-s}).
+    """
+    with mpmath.workdps(60):
+        a = mpmath.mpf(a)
+        s = -mpmath.mpf(g) * a
+        if s <= 1:
+            return None
+        kappa = (s + mpmath.lambertw(-s * mpmath.exp(-s), 0)) / (2 * a)
+        return -kappa * kappa
 
 
 def brute_winding(g, a, re0, re1, im0, im1, n=200000):
@@ -330,37 +365,6 @@ def scalar_amplitude(law: Law, pole: ResonancePole, t: float) -> complex:
     phase = -pole.e_r if law.regime == 0 else pole.e_r
     rate = 0.5 * pole.gamma if law.kind is Kind.GROWING else -0.5 * pole.gamma
     return cmath.exp(complex(rate, phase) * t)
-
-
-def scalar_phase_shift_curve(model, energies):
-    """phase_shift_curve as a Python walk: one scalar S(k) per energy.
-
-    Each point takes the branch nearest the previous value; an interval whose
-    jump would reach pi/2 is bisected, recursively up to 48 levels.
-    """
-    e = np.asarray(energies, dtype=float)
-    if e.ndim != 1 or e.size < 1:
-        raise ValueError("energies must be a 1-d array")
-    if np.any(e <= 0):
-        raise ValueError("phase shift requires E > 0")
-
-    def principal(x: float) -> float:
-        return 0.5 * cmath.phase(s_matrix(model, complex(np.sqrt(x))))
-
-    def continue_branch(e0, d0, e1, depth=0):
-        raw = principal(e1)
-        cand = raw + np.pi * np.round((d0 - raw) / np.pi)
-        if abs(cand - d0) < np.pi / 2 - 1e-9 or depth >= 48:
-            return cand
-        mid = 0.5 * (e0 + e1)
-        dmid = continue_branch(e0, d0, mid, depth + 1)
-        return continue_branch(mid, dmid, e1, depth + 1)
-
-    out = np.empty_like(e)
-    out[0] = principal(e[0])
-    for i in range(1, e.size):
-        out[i] = continue_branch(e[i - 1], out[i - 1], e[i])
-    return out
 
 
 def where_continuum_functions(model, k, r):

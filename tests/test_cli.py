@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import numbers
 import os
 import pathlib
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import golden_values
-from gamow import cli, dynamics, scattering, spectral
+from gamow import cli, dynamics, reps, scattering, spectral
 from gamow.cli import parse_args, run
 
 BASE = [sys.executable, "-m", "gamow"]
@@ -215,6 +216,36 @@ class TestErrorMessages:
                         "size, over the budget of 134217728 float64 elements (1 GiB)")
         assert run(parse_args(argv + sizes)) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("row, factor", [(1, 1), (2, 2)])
+    def test_reps_over_budget_rejected_before_any_operator(self, capsys, monkeypatch, row, factor):
+        def unreachable(*args):
+            raise AssertionError("operators built for an over-budget --twice-j")
+
+        monkeypatch.setattr(reps, "verify_group_relations", unreachable)
+        # the smallest spin whose largest operator's work arrays exceed the budget
+        size = math.isqrt(spectral.MAX_GRID_ELEMENTS // cli._REPS_WORK_ARRAYS) + 1
+        size += (-size) % factor
+        argv = ["reps", "--row", str(row), "--twice-j", str(size // factor - 1)]
+        assert run(parse_args(argv)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {size} x {size} operator entries need about {cli._REPS_WORK_ARRAYS} work "
+            "arrays of that size, over the budget of 134217728 float64 elements (1 GiB)\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("row, factor", [(1, 1), (2, 2)])
+    def test_reps_peak_within_its_work_arrays(self, row, factor, fmt):
+        size = 128
+        args = parse_args(["reps", "--row", str(row), "--twice-j", str(size // factor - 1),
+                           "--format", fmt])
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert run(args) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= cli._REPS_WORK_ARRAYS * size * size * 8
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     @pytest.mark.parametrize("path", list(GRID_PATHS))

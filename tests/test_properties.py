@@ -4,16 +4,19 @@ Each property is an identity of the model, checked on hypothesis-drawn inputs:
 unitarity and S(k) S(-k) = 1 on the real axis, the two Hardy leakages of f and
 conj(f), time reversal as an involution that reads a law backwards, the
 semigroup law of each evolution law on its half-line, every pole the Newton
-search finds being a closed-form Lambert branch, and the linearity of the
-spectral reconstruction.
+search finds being a closed-form Lambert branch, the bound state existing
+exactly above threshold and solving its own equation, and the linearity of
+the spectral reconstruction.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from gamow.dynamics import GamowState, Kind, Law, amplitude, semigroup_compose_check, time_reverse
 from gamow.scattering import (DeltaShellModel, ResonancePole, SearchRegion, _branch_poles,
-                              find_poles, s_matrix)
+                              bound_states, find_poles, s_matrix)
 from gamow.spectral import (WavePacket, build_decomposition, gaussian_packet, hardy_check,
                             reconstruct, windowed_resonance_samples)
 
@@ -69,6 +72,17 @@ def test_every_found_pole_is_a_lambert_branch(g, a):
         k = pole.k_pole
         assert k.real > 1e-12 * abs(k)
         assert np.min(np.abs(branches - k)) <= 1e-12 * abs(k)
+
+
+@given(g=COUPLING, a=RADIUS)
+def test_one_bound_state_exactly_above_threshold_solving_its_equation(g, a):
+    # x = 2 kappa a is the positive root of x = s (1 - e^{-x}), s = -g a
+    s = -g * a
+    states = bound_states(DeltaShellModel(g=g, a=a))
+    assert len(states) == (1 if s > 1 else 0)
+    for energy in states:
+        x = 2.0 * math.sqrt(-energy) * a
+        assert abs(x + s * math.expm1(-x)) <= 4 * np.finfo(float).eps * s
 
 
 # g a within +-150 keeps the bound state normalisable on the r_max = 10 grid

@@ -30,13 +30,17 @@ from oracles import (
     brute_winding,
     dense_scan_zeros,
     doubling_pole_count,
+    mp_bound_energy,
     mp_lambert_poles,
+    mp_phase_shift_curve,
     scalar_find_poles,
-    scalar_phase_shift_curve,
     shell_denominator,
 )
 
 STRONG = DeltaShellModel(g=100.0, a=1.0)
+# max |delta - delta_ref| / (1 + |delta_ref|) against the 50-digit S-matrix: the
+# seed-5 sweeps reach 9.3e-14, at g = -130, a = 1.545
+PHASE_REF_BOUND = 1e-13
 ACCEPT_REGION = SearchRegion(0.0, 10.0, -2.0, 0.0)
 
 
@@ -364,7 +368,10 @@ class TestBoundStates:
 
     def test_threshold_exactly_marginal(self):
         assert bound_states(DeltaShellModel(g=-1.0, a=1.0)) == []
+        assert bound_states(DeltaShellModel(g=np.nextafter(-1.0, 0.0), a=1.0)) == []
         assert len(bound_states(DeltaShellModel(g=-1.1, a=1.0))) == 1
+        (energy,) = bound_states(DeltaShellModel(g=-(1.0 + 2.0**-52), a=1.0))
+        assert np.isfinite(energy) and energy < 0
 
     def test_single_bound_state_energy(self):
         (energy,) = bound_states(DeltaShellModel(g=-5.0, a=1.0))
@@ -382,6 +389,26 @@ class TestBoundStates:
         # |g| a > 1 with a = 0.1 needs |g| > 10
         assert bound_states(DeltaShellModel(g=-9.0, a=0.1)) == []
         assert len(bound_states(DeltaShellModel(g=-11.0, a=0.1))) == 1
+
+    @pytest.mark.parametrize("a", [0.5, 0.7, 1.0, 1.2345, 2.0])
+    @pytest.mark.parametrize("t0", [2**-52, 2**-48, 2**-32, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5,
+                                    1.0, 4.0, 9.0, 30.0, 100.0, 700.0, 1e4])
+    def test_energy_matches_lambert_w(self, t0, a):
+        # rounding s = -g a costs about eps / t in E, t = s - 1 taken exactly from the floats
+        g = -(1.0 + t0) / a
+        ref = mp_bound_energy(g, a)
+        t = -mpmath.mpf(g) * mpmath.mpf(a) - 1
+        (energy,) = bound_states(DeltaShellModel(g=g, a=a))
+        eps = np.finfo(float).eps
+        assert abs(energy - ref) <= 4 * eps * (1 + 1 / t) * abs(ref)
+
+    @pytest.mark.parametrize("s", [40.0, 100.0, 700.0, 1e4, 1e150])
+    @pytest.mark.parametrize("a", [0.5, 1.2345])
+    def test_deep_shell_binds_at_half_the_strength(self, s, a):
+        # e^{-s} is below half an ulp of 1, so x = 2 kappa a is s itself
+        model = DeltaShellModel(g=-s / a, a=a)
+        kappa = 0.5 * (-model.g * model.a) / a
+        assert bound_states(model) == [-kappa * kappa]
 
 
 class TestPhaseShift:
@@ -418,9 +445,9 @@ class TestPhaseShift:
                              ids=["nan", "inf", "then-nan", "then-inf"])
     def test_non_finite_energy_rejected_before_evaluation(self, monkeypatch, energies):
         def unreachable(model, k):
-            raise AssertionError("S(k) evaluated before the energy check")
+            raise AssertionError("D(k) evaluated before the energy check")
 
-        monkeypatch.setattr(scattering, "s_matrix", unreachable)
+        monkeypatch.setattr(scattering, "denominator", unreachable)
         with pytest.raises(ValueError, match="finite E > 0"):
             phase_shift_curve(STRONG, energies)
         if len(energies) == 1:
@@ -441,36 +468,42 @@ def _random_sweeps(seed, count):
 
 
 class TestPhaseShiftArrayPath:
-    """The one-call sweep lands on the scalar branch walk's floats exactly."""
+    """The one-call sweep against the 50-digit textbook S-matrix, unwrapped by the same rule."""
 
-    def test_random_sweeps_match_scalar_walk(self):
-        for model, energies in _random_sweeps(seed=5, count=40):
-            got = phase_shift_curve(model, energies)
-            assert got.tolist() == scalar_phase_shift_curve(model, energies).tolist()
+    @staticmethod
+    def _error(model, energies):
+        got = phase_shift_curve(model, energies)
+        ref = mp_phase_shift_curve(model.g, model.a, energies)
+        return max(float(abs(d - r) / (1 + abs(r))) for d, r in zip(got.tolist(), ref))
+
+    def test_random_sweeps_match_mp_reference(self):
+        worst = max(self._error(model, energies)
+                    for model, energies in _random_sweeps(seed=5, count=40))
+        assert worst <= PHASE_REF_BOUND
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_shortest_grids_match_scalar_walk(self, n, strong_poles):
+    def test_shortest_grids_match_mp_reference(self, n, strong_poles):
         pole = strong_poles[0]
         energies = np.linspace(pole.e_r - pole.gamma, pole.e_r + pole.gamma, n)
-        got = phase_shift_curve(STRONG, energies)
-        assert got.tolist() == scalar_phase_shift_curve(STRONG, energies).tolist()
+        assert self._error(STRONG, energies) <= PHASE_REF_BOUND
 
-    def test_single_points_match_scalar_walk(self):
+    def test_single_points_match_mp_reference(self):
         for model, energies in _random_sweeps(seed=6, count=200):
             e = float(energies[-1])
             got = phase_shift(model, e)
             assert type(got) is float
-            assert got == scalar_phase_shift_curve(model, [e])[0]
+            (ref,) = mp_phase_shift_curve(model.g, model.a, [e])
+            assert abs(got - ref) / (1 + abs(ref)) <= PHASE_REF_BOUND
 
-    def test_one_s_matrix_call_per_sweep(self, monkeypatch):
+    def test_one_denominator_call_per_sweep(self, monkeypatch):
         calls = []
-        original = scattering.s_matrix
+        original = scattering.denominator
 
         def counting(model, k):
             calls.append(np.size(k))
             return original(model, k)
 
-        monkeypatch.setattr(scattering, "s_matrix", counting)
+        monkeypatch.setattr(scattering, "denominator", counting)
         delta = phase_shift_curve(STRONG, np.linspace(0.5, 40.0, 800))
         assert calls == [800]
         assert np.max(np.abs(np.diff(delta))) < np.pi / 2
