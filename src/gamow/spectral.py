@@ -38,7 +38,10 @@ and conj(f) sum to one exactly.  Callers ask about both classes of the same
 samples, so hardy_check transforms each sampled function once: the call that
 takes the FFT keeps a read-only copy of the samples with the two half-line
 sums and the total of |F|^2, and the next call drops that entry, using the
-sums when its samples equal the copy.
+sums when its samples equal the copy.  Sampling and both checks hold seven
+arrays of n float64: the energies (one), the samples, the cached chirp and
+one transform buffer (two each); the samples are built in place, the FFT is
+taken in place, and the input checks run over slices of n / 16 samples.
 
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
@@ -100,7 +103,7 @@ MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
 _GROUP_COLUMNS = 64               # continuum columns per angle-addition group
 _BLOCK_ROWS = 128                 # k rows per product when the continuum is applied
-_HARDY_WORK_ARRAYS = 10           # n-element float64 arrays: Hardy samples + hardy_check + chirp
+_HARDY_WORK_ARRAYS = 8            # n-element float64 arrays: energies 1, samples 2, chirp 2, FFT 2
 _hardy_memo = None                # hardy_check's (samples, t<0 sum, t>0 sum, total) until reused
 
 
@@ -121,9 +124,10 @@ def _check_work_budget(shape: tuple[int, ...], arrays: int, what: str) -> None:
     more than MAX_GRID_ELEMENTS.
 
     Each path charges the tracemalloc peak of its run per grid point, rounded
-    up (the Hardy samples plus one hardy_check with a cold chirp cache hold
-    9.03 arrays of n elements, so they are charged _HARDY_WORK_ARRAYS = 10); a
-    shape beyond the grid budget itself gets check_grid_budget's message.
+    up (the Hardy samples plus both hardy_check calls, the first with a cold
+    chirp cache, hold 7.16 arrays of n elements at n = 2^14, so they are
+    charged _HARDY_WORK_ARRAYS = 8); a shape beyond the grid budget itself
+    gets check_grid_budget's message.
     """
     check_grid_budget(*shape)
     if arrays * math.prod(max(int(n), 1) for n in shape) > MAX_GRID_ELEMENTS:
@@ -508,6 +512,15 @@ def _relative_error(decomp: SpectralDecomposition, packet: WavePacket,
     return float(np.sqrt(err2 / norm2))
 
 
+def _check_sample_count(n: int) -> None:
+    """Raise ValueError unless n Hardy samples are at least 16, within the budget, and even."""
+    if n < 16:
+        raise ValueError("need matching 1-d grids of at least 16 samples")
+    _check_work_budget((n,), _HARDY_WORK_ARRAYS, "energy samples")
+    if n % 2:
+        raise ValueError(f"need an even number of samples, got {n}")
+
+
 @functools.lru_cache(maxsize=1)
 def _half_bin_chirp(n: int) -> np.ndarray:
     """exp(-2 pi i j (1/2 - n/2) / n), j = 0..n-1, read-only; only the latest n is kept.
@@ -553,20 +566,23 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
         raise ValueError(f"half_plane must be 'upper' or 'lower', got {half_plane!r}")
     e = np.asarray(energies, dtype=float)
     f = np.asarray(values, dtype=complex)
-    if e.ndim != 1 or e.size < 16 or f.shape != e.shape:
+    if e.ndim != 1 or f.shape != e.shape:
         raise ValueError("need matching 1-d grids of at least 16 samples")
-    _check_work_budget((e.size,), _HARDY_WORK_ARRAYS, "energy samples")
-    if e.size % 2:
-        raise ValueError(f"need an even number of samples, got {e.size}")
-    # written so that a NaN anywhere fails, as does the NaN of an inf - inf; the ulp
-    # term admits linspace grids far from E = 0, whose steps round to a few ulp
+    n = e.size
+    _check_sample_count(n)
+    # both checks run over slices, so no n-sized temporary sits beside the memo or stays
+    # resident under the transform; written so that a NaN anywhere fails (np.max, not
+    # max(), keeps it), as does the NaN of an inf - inf; the ulp term admits linspace
+    # grids far from E = 0, whose steps round to a few ulp
+    step = max(n // 16, 1024)
     with np.errstate(invalid="ignore"):
         de = e[1] - e[0]
         tol = max(1e-9 * de, 2.0 * np.spacing(max(abs(e[0]), abs(e[-1]))))
-        uniform = de > 0 and np.max(np.abs(np.diff(e) - de)) <= tol
+        uniform = de > 0 and np.max([np.max(np.abs(np.diff(e[i:i + step + 1]) - de))
+                                     for i in range(0, n - 1, step)]) <= tol
     if not uniform:
         raise ValueError("energy grid must be uniform and increasing")
-    peak = float(np.max(np.abs(f)))
+    peak = float(np.max([np.max(np.abs(f[i:i + step])) for i in range(0, n, step)]))
     if not math.isfinite(peak):
         raise ValueError("samples must be finite")
     if peak == 0.0:
@@ -578,7 +594,6 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
             f"(need <= {END_DECAY_THRESHOLD})"
         )
 
-    n = e.size
     # read once: a concurrent caller may replace or drop the entry meanwhile
     memo, _hardy_memo = _hardy_memo, None
     if memo is not None and np.array_equal(memo[0], f):
@@ -588,8 +603,9 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
         # t grid offset by half a bin: for even n no sample at t = 0, symmetric under
         # t -> -t, and t < 0 exactly on the first n/2 samples
         work = np.multiply(f, _half_bin_chirp(n))
+        np.fft.fft(work, out=work)
         # |F|^2 goes into work's first 8 n bytes, free until f is copied in below
-        energy = np.abs(np.fft.fft(work), out=work.view(float)[:n])
+        energy = np.abs(work, out=work.view(float)[:n])
         np.square(energy, out=energy)
         total = float(energy.sum())
         past, future = energy[:n // 2].sum(), energy[n // 2:].sum()
@@ -614,15 +630,28 @@ def windowed_resonance_samples(
     end-decay precondition of hardy_check on any feasible grid; the envelope
     (width (e_max - e_min)/12.5, centered on e_r) supplies the decay
     while widening the transform's edge at t = 0 by ~1/width.  Returns
-    (energies, samples); n times _HARDY_WORK_ARRAYS must be within
-    MAX_GRID_ELEMENTS.
+    (energies, samples).  Before anything of size n is allocated, n must pass
+    hardy_check's size rules (at least 16, even, and n times
+    _HARDY_WORK_ARRAYS within MAX_GRID_ELEMENTS), with its messages, and
+    (e_max - e_min)^2 and 2 width^2 must be finite and nonzero.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not e_min < e_r < e_max:
         raise ValueError("the resonance energy must lie inside (e_min, e_max)")
-    _check_work_budget((n,), _HARDY_WORK_ARRAYS, "energy samples")
-    envelope_width = (e_max - e_min) / 12.5
+    # Python floats, so that an overflow gives inf, not numpy's warning or **'s OverflowError
+    span = float(e_max) - float(e_min)
+    spread = 2.0 * (span / 12.5) ** 2 if 0.0 < span * span < math.inf else 0.0
+    if not 0.0 < spread < math.inf:
+        raise ValueError(f"energy window [{e_min:g}, {e_max:g}] is out of range: "
+                         "(e_max - e_min)^2 and 2 width^2 must be finite and nonzero")
+    _check_sample_count(n)
     e = np.linspace(e_min, e_max, n, endpoint=False)
-    envelope = np.exp(-((e - e_r) ** 2) / (2.0 * envelope_width**2))
-    return e, envelope / (e - complex(e_r, -0.5 * gamma))
+    # exp(-(e - e_r)^2 / spread) / (e - (e_r - i gamma/2)), one ufunc at a time in place
+    envelope = np.subtract(e, e_r)
+    np.square(envelope, out=envelope)
+    np.negative(envelope, out=envelope)
+    np.divide(envelope, spread, out=envelope)
+    np.exp(envelope, out=envelope)
+    samples = np.subtract(e, complex(e_r, -0.5 * gamma))
+    return e, np.divide(envelope, samples, out=samples)

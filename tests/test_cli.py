@@ -100,6 +100,39 @@ class TestErrorMessages:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n, message", [
+        ("-2", "need matching 1-d grids of at least 16 samples"),
+        ("0", "need matching 1-d grids of at least 16 samples"),
+        ("17", "need an even number of samples, got 17"),
+    ])
+    def test_hardy_sample_count_rejected_before_the_grid(self, capsys, monkeypatch, n, message):
+        # unchecked, -2 printed numpy's own error, and 0 and 17 allocated the energy grid
+        def unreachable(*args, **kwargs):
+            raise AssertionError("energy grid allocated with a bad --n")
+
+        monkeypatch.setattr(spectral.np, "linspace", unreachable)
+        assert run(parse_args(["hardy", "--pole", "10,0.1", "--n", n])) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, window", [
+        (["--pole", "1e200,1e190"], "[9.99999e+199, 1e+200]"),
+        (["--pole", "10,0.1", "--emin=-1e308", "--emax=1e308"], "[-1e+308, 1e+308]"),
+        (["--pole", "0,1e-200", "--emin=-1e-170", "--emax=1e-170"], "[-1e-170, 1e-170]"),
+    ], ids=["wide-pole", "overflowing-window", "vanishing-window"])
+    def test_hardy_window_too_wide_for_float64(self, capsys, argv, window):
+        # unchecked, the first exited with OverflowError's "(34, 'Numerical result out of
+        # range')" after numpy's overflow warning, the second printed three warnings; the
+        # third's (e_max - e_min)^2 underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(["hardy", *argv])) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: energy window {window} is out of range: "
+                                "(e_max - e_min)^2 and 2 width^2 must be finite and nonzero\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("g", ["-720", "-1500"])
     def test_too_deep_bound_state_rejected(self, capsys, g):
         # unchecked, -720 printed a RuntimeWarning and exited 0 with an all-zero bound

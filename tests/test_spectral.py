@@ -27,6 +27,7 @@ from gamow import spectral
 from gamow.spectral import _adaptive_k_grid
 from oracles import (
     phased_hardy_leakage,
+    poisson_hardy_leakages,
     shell_denominator,
     uncached_hardy_check,
     where_bound_functions,
@@ -414,10 +415,10 @@ class TestGridBudget:
         with pytest.raises(ValueError, match=f"grid of {spectral.MAX_GRID_ELEMENTS + 1} points exceeds"):
             check(spectral.MAX_GRID_ELEMENTS + 1)
 
-    def test_hardy_path_peak_within_its_work_arrays(self):
+    @pytest.mark.parametrize("n", [2**14, 2**17])
+    def test_hardy_path_peak_within_its_work_arrays(self, n):
         # what gamow hardy holds: the samples, then both half-plane checks, the first of
         # them building the chirp
-        n = 2**14
         spectral._half_bin_chirp.cache_clear()
         spectral._hardy_memo = None
         tracemalloc.start()
@@ -561,14 +562,19 @@ class TestHardyCheck:
         assert spectral._half_bin_chirp(4096) is chirp
         assert not chirp.flags.writeable
 
-    def test_fft_call_predates_numpy_2(self, monkeypatch):
-        # numpy < 2.0 (pyproject allows 1.24) has no out= on np.fft.fft
+    def test_transform_runs_in_place(self, monkeypatch):
+        # np.fft.fft's out= (numpy >= 2.0) writes the transform over its input buffer
         monkeypatch.setattr(spectral, "_hardy_memo", None)
-        fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda a: fft(a))
+        fft, calls = np.fft.fft, []
+
+        def spy(a, **kw):
+            calls.append(kw.get("out") is a)
+            return fft(a, **kw)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
         report = hardy_check(self.e, self.f, "upper")
-        monkeypatch.undo()
-        assert report == hardy_check(self.e, self.f, "upper")
+        assert calls == [True]
+        assert report == uncached_hardy_check(self.e, self.f, "upper")
 
     def test_real_gaussian_is_neither(self):
         e = np.linspace(-40.0, 40.0, 4096, endpoint=False)
@@ -620,7 +626,8 @@ class TestHardyCheck:
     def test_odd_sample_count_rejected(self):
         # an odd n puts a t sample at 0, in neither half-line: unchecked, the
         # leakages of f and conj(f) sum to 1 - 7.8e-4 at n = 4097
-        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 4097)
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 4098)
+        e, f = e[:-1], f[:-1]
         for half_plane in ("upper", "lower"):
             with pytest.raises(ValueError, match="even number of samples, got 4097"):
                 hardy_check(e, f, half_plane)
@@ -662,7 +669,7 @@ class TestHardyMemo:
     def _counted_transforms(monkeypatch):
         calls = []
         fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda a: calls.append(a.size) or fft(a))
+        monkeypatch.setattr(np.fft, "fft", lambda a, **kw: calls.append(a.size) or fft(a, **kw))
         monkeypatch.setattr(spectral, "_hardy_memo", None)
         return calls
 
@@ -711,6 +718,27 @@ class TestHardyMemo:
         assert len(calls) == 1
         assert report == uncached_hardy_check(e, f, "lower")
 
+    @pytest.mark.parametrize("hit", [False, True], ids=["miss", "hit"])
+    @pytest.mark.parametrize("grid, index, message", [
+        ("energies", -1, "uniform and increasing"),
+        ("energies", -1024, "uniform and increasing"),
+        ("samples", -1, "samples must be finite"),
+        ("samples", -1024, "samples must be finite"),
+    ], ids=["last-energy", "last-slice-energy", "last-sample", "last-slice-sample"])
+    def test_nan_in_the_last_check_slice_rejected(self, monkeypatch, hit, grid, index, message):
+        # at n = 2^14 both input checks run over 16 slices of 1024 samples; np.max over the
+        # slice maxima keeps a NaN from the last one
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 2**14)
+        if hit:
+            hardy_check(e, f, "upper")
+        bad = {"energies": e, "samples": f}[grid].copy()
+        bad[index] = np.nan
+        args = (bad, f) if grid == "energies" else (e, bad)
+        with pytest.raises(ValueError, match=message):
+            hardy_check(*args, "lower")
+        assert hardy_check(e, f, "lower") == uncached_hardy_check(e, f, "lower")
+
     def test_threads_get_the_serial_reports(self):
         sets = [windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 2**12),
                 windowed_resonance_samples(3.0, 0.02, -17.0, 23.0, 2**12)]
@@ -757,3 +785,50 @@ class TestWindowedSamples:
     def test_uniform_grid(self):
         e, _ = windowed_resonance_samples(10.0, 0.1, -100.0, 120.0, 512)
         assert np.allclose(np.diff(e), e[1] - e[0])
+
+    def test_samples_equal_the_one_line_expression(self):
+        # built in place, one ufunc at a time, with the operations of this expression;
+        # windows far from E = 0 and narrow ones (down to 1e-9 of |e_r|) included
+        rng = np.random.default_rng(2020)
+        for _ in range(300):
+            e_r = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0)
+            gamma = abs(e_r) * 10.0 ** rng.uniform(-9.0, 0.0)
+            half = 0.5 * gamma * 10.0 ** rng.uniform(0.0, 5.0)
+            e_min, e_max = e_r - half, e_r + half
+            n = 2 * int(rng.integers(8, 4096))
+            e, f = windowed_resonance_samples(e_r, gamma, e_min, e_max, n)
+            width = (e_max - e_min) / 12.5
+            want = np.exp(-((e - e_r) ** 2) / (2.0 * width**2)) / (e - complex(e_r, -0.5 * gamma))
+            assert np.array_equal(f.view(np.uint64), want.view(np.uint64))
+
+
+def _seeded_hardy_windows(count):
+    """(e_r, gamma, e_min, e_max, n) with the step dE from 0.05 to 1.5 Gamma: aliased to clean."""
+    rng = np.random.default_rng(1999)
+    out = []
+    for _ in range(count):
+        e_r = 10.0 ** rng.uniform(-1.0, 3.0)
+        gamma = e_r * 10.0 ** rng.uniform(-4.0, -1.0)
+        n = 2 * int(rng.integers(2**10, 2**14))
+        half = 0.5 * n * gamma * 10.0 ** rng.uniform(np.log10(0.05), np.log10(1.5))
+        out.append((e_r, gamma, e_r - half, e_r + half, n))
+    return out
+
+
+class TestHardyPoissonOracle:
+    """hardy_check's two leakages against the FFT-free closed form of the windowed
+    samples' transform, summed over its aliases (oracles.poisson_hardy_leakages)."""
+
+    CASES = {
+        "default-window": (10.0, 0.1, -990.0, 1010.0, 2**17),  # upper leakage 7.04e-5
+        "pm-50-gamma": (10.0, 0.1, 5.0, 15.0, 2**17),          # 1.389e-2
+        "narrow-far-from-zero": (10.0, 0.1, 9.9, 10.1, 2**17),  # 0.3373
+        "aliased": (10.0, 0.1, -990.0, 1010.0, 16384),         # 0.0710: dE = 1.22 Gamma
+        **{f"seeded-{i}": args for i, args in enumerate(_seeded_hardy_windows(10))},
+    }
+
+    @pytest.mark.parametrize("args", CASES.values(), ids=CASES)
+    def test_leakages_match_closed_form(self, args):
+        e, f = windowed_resonance_samples(*args)
+        got = [hardy_check(e, f, half_plane).leakage for half_plane in ("upper", "lower")]
+        assert got == pytest.approx(poisson_hardy_leakages(*args), rel=1e-9, abs=0.0)
