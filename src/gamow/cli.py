@@ -25,8 +25,9 @@ _POLES_WORK_ARRAYS = 22
 _PHASE_WORK_ARRAYS = 134
 _EVOLVE_WORK_ARRAYS = 164
 # per entry of the row's largest operator: row one's json peak at twice_j = 100
-# (48.3; the doubled rows peak at 38.9) plus one, rounded up
-_REPS_WORK_ARRAYS = 50
+# (42.6; the doubled rows peak at 34.3, text at 5.0 and csv, which builds no
+# dense matrix, at 0.2) plus one, rounded up
+_REPS_WORK_ARRAYS = 44
 
 
 def _fmt(x: float) -> str:
@@ -160,11 +161,13 @@ def _table(header, rows) -> list[str]:
     return ["  ".join(f"{cell:>16s}" for cell in line) for line in [header, *rows]]
 
 
-def _matrix_lines(name: str, matrix: np.ndarray, antilinear: bool) -> list[str]:
-    lines = [f"{name} ({'antilinear' if antilinear else 'linear'}):"]
-    for row in matrix:
-        lines.append("  [" + " ".join(f"{v:2d}" for v in row) + "]")
-    return lines
+def _matrix_lines(name: str, op: reps.SymmetryOperator) -> list[str]:
+    """The operator's matrix, one line per row, spliced from its signed permutation:
+    row i is zeros but for signs[i] in column cols[i], each cell 2 wide and 1 apart."""
+    blank = " ".join([" 0"] * op.dim)
+    return [f"{name} ({'antilinear' if op.antilinear else 'linear'}):"] + [
+        f"  [{blank[:3 * col]}{sign:2d}{blank[3 * col + 2:]}]"
+        for col, sign in zip(op.cols.tolist(), op.signs.tolist())]
 
 
 def _run_reps(args) -> None:
@@ -184,10 +187,13 @@ def _run_reps(args) -> None:
     ]
     text += [f"{name:<25s} = {value}" for name, value in relations.items() if type(value) is bool]
     json_obj = dict(relations)
-    for name, op in operators:
-        matrix = np.asarray(op.matrix, dtype=int)
-        text += _matrix_lines(name, matrix, op.antilinear)
-        json_obj[name.lower()] = matrix.tolist()
+    # the matrices are rendered only for the format that prints them, and only json
+    # builds them dense; csv prints none
+    if args.format == "text":
+        for name, op in operators:
+            text += _matrix_lines(name, op)
+    elif args.format == "json":
+        json_obj.update((name.lower(), op.matrix.tolist()) for name, op in operators)
     rows = [[name, str(value)] for name, value in relations.items()]
     _emit(args, ["relation", "value"], rows, text, json_obj)
 

@@ -15,17 +15,21 @@ Conventions used throughout:
 * spin basis ordered mu = j, j-1, ..., -j;
 * the conjugation matrix ``C`` has entries c[mu, nu] = (-1)^{j+mu} for
   nu = -mu and zero otherwise (anti-diagonal), so that C @ C = (-1)^{2j} I;
-* an antilinear operator is stored as a plain matrix plus a flag, acting as
-  v -> M @ conj(v); composing a after b multiplies a.matrix by conj(b.matrix)
-  when a is antilinear.
+* row one is Sigma = I, R = T = C; the doubled rows are Sigma = diag(I, s_sigma I),
+  R = [[0, C], [s_r C, 0]] and T = [[0, C], [s_t C, 0]], with (s_sigma, s_r, s_t)
+  = (-1, -1, +1), (-1, +1, -1) and (+1, -1, -1) in rows two, three and four;
+* an antilinear operator acts as v -> M @ conj(v); composing a after b
+  multiplies a's matrix by conj(b's matrix) when a is antilinear.
 
-All matrices built here have integer entries in {-1, 0, +1} and exactly one
-nonzero entry per row and column, so every group relation can be tested with
-exact integer arithmetic.  One relation is sign-sensitive: when eps_t = -eps_r
-(rows two and three) the operators R and Sigma anticommute, R Sigma =
--Sigma R, which is forced by T^2 = Sigma R Sigma R = (R Sigma = s Sigma R)
-= s eps_r I.  The commutation sign s = eps_r * eps_t is reported alongside
-the exact-equality flag.
+Every operator has exactly one nonzero entry, +1 or -1, per row and column,
+so it is held as a signed permutation (row i has signs[i] in column cols[i]).
+The entries are real, so conjugation changes no product, and a product is an
+index lookup: every group relation is checked exactly, in O(d) for carrier
+dimension d, and the dense matrix is built only when asked for.  One relation
+is sign-sensitive: when eps_t = -eps_r (rows two and three) the operators R
+and Sigma anticommute, R Sigma = -Sigma R, which is forced by T^2 = Sigma R
+Sigma R = (R Sigma = s Sigma R) = s eps_r I.  The commutation sign
+s = eps_r * eps_t is reported alongside the exact-equality flag.
 
 Everything in this module is an immutable value; instances are safe to share
 between threads.
@@ -99,35 +103,45 @@ class RepRow(Enum):
 
 @dataclass(frozen=True)
 class SymmetryOperator:
-    """A finite matrix together with an antilinearity flag.
-
-    Antilinear operators conjugate their argument before the matrix acts:
-    ``v -> matrix @ conj(v)``.  The matrix itself is stored unconjugated.
+    """A signed permutation with an antilinearity flag: row i of its matrix has signs[i]
+    (+1 or -1) in column cols[i], a permutation of 0..d-1, so it acts as
+    ``v -> signs * v[cols]``, conjugating v first when antilinear.  Both are read-only int64.
     """
 
-    matrix: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
     antilinear: bool
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        cols, signs = np.asarray(self.cols), np.asarray(self.signs)
+        if cols.ndim != 1 or signs.shape != cols.shape:
+            raise ValueError(f"cols and signs must be 1-d of one length: {cols.shape}, {signs.shape}")
+        if not (np.issubdtype(cols.dtype, np.integer) and cols.min(initial=0) >= 0
+                and np.all(np.bincount(cols, minlength=cols.size) == 1)):
+            raise ValueError("cols must be a permutation of 0..d-1")
+        if not np.all((signs == 1) | (signs == -1)):
+            raise ValueError("signs must be +1 or -1")
+        for name, value in (("cols", cols), ("signs", signs)):
+            object.__setattr__(self, name, value.astype(np.int64))
+            getattr(self, name).setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.cols.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense d x d int64 matrix, built on each access (read-only)."""
+        m = np.zeros((self.dim, self.dim), dtype=np.int64)
+        m[np.arange(self.dim), self.cols] = self.signs
+        m.setflags(write=False)
+        return m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymmetryOperator):
             return NotImplemented
-        return (
-            self.antilinear == other.antilinear
-            and self.matrix.shape == other.matrix.shape
-            and bool(np.array_equal(self.matrix, other.matrix))
-        )
+        return (self.antilinear == other.antilinear and bool(np.array_equal(self.cols, other.cols))
+                and bool(np.array_equal(self.signs, other.signs)))
 
 
 def build_c_matrix(spin: SpinLabel) -> SymmetryOperator:
@@ -137,69 +151,61 @@ def build_c_matrix(spin: SpinLabel) -> SymmetryOperator:
     mu = j ... -j this is an anti-diagonal of alternating signs starting
     with +1 in the lower-left corner.  C @ C = (-1)^{2j} I.
     """
-    n = spin.dim
-    c = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        # row index i corresponds to mu = j - i, hence j + mu = 2j - i
-        c[i, n - 1 - i] = -1 if (spin.twice_j - i) % 2 else 1
-    return SymmetryOperator(c, antilinear=False)
-
-
-def _off_diagonal_block(c: np.ndarray, lower_sign: int) -> np.ndarray:
-    n = c.shape[0]
-    z = np.zeros((n, n), dtype=np.int64)
-    return np.block([[z, c], [lower_sign * c, z]])
+    # row index i corresponds to mu = j - i, hence j + mu = 2j - i
+    i = np.arange(spin.dim)
+    return SymmetryOperator(i[::-1], 1 - 2 * ((spin.twice_j - i) % 2), antilinear=False)
 
 
 def build_sigma(row: RepRow, spin: SpinLabel) -> SymmetryOperator:
-    """Parity operator Sigma for the given row; linear, Sigma^2 = I."""
-    n = spin.dim
-    eye = np.eye(n, dtype=np.int64)
+    """Parity operator Sigma for the given row; linear, Sigma^2 = I.
+
+    I in row one; diag(I, s I) on the doubled space, s = eps_r eps_t.
+    """
+    blocks = [1, row.eps_r(spin) * row.eps_t(spin)][:1 if row is RepRow.ONE else 2]
+    return SymmetryOperator(np.arange(len(blocks) * spin.dim), np.repeat(blocks, spin.dim),
+                            antilinear=False)
+
+
+def _inversion(row: RepRow, spin: SpinLabel, eps: int) -> SymmetryOperator:
+    """Antilinear C in row one; [[0, C], [s C, 0]] on the doubled space, with
+    s = eps (-1)^{2j} so that its square is eps I."""
+    c = build_c_matrix(spin)
     if row is RepRow.ONE:
-        return SymmetryOperator(eye, antilinear=False)
-    if row in (RepRow.TWO, RepRow.THREE):
-        z = np.zeros((n, n), dtype=np.int64)
-        return SymmetryOperator(np.block([[eye, z], [z, -eye]]), antilinear=False)
-    return SymmetryOperator(np.eye(2 * n, dtype=np.int64), antilinear=False)
+        return SymmetryOperator(c.cols, c.signs, antilinear=True)
+    lower = eps * spin.parity_sign
+    return SymmetryOperator(np.concatenate([c.cols + spin.dim, c.cols]),
+                            np.concatenate([c.signs, lower * c.signs]), antilinear=True)
 
 
 def build_r(row: RepRow, spin: SpinLabel) -> SymmetryOperator:
     """Time inversion R for the given row; antilinear, R^2 = eps_r I."""
-    c = build_c_matrix(spin).matrix
-    if row is RepRow.ONE:
-        return SymmetryOperator(c, antilinear=True)
-    sign = 1 if row is RepRow.THREE else -1
-    return SymmetryOperator(_off_diagonal_block(c, sign), antilinear=True)
+    return _inversion(row, spin, row.eps_r(spin))
 
 
 def build_t(row: RepRow, spin: SpinLabel) -> SymmetryOperator:
     """Total inversion T for the given row; antilinear, equals Sigma after R."""
-    c = build_c_matrix(spin).matrix
-    if row is RepRow.ONE:
-        return SymmetryOperator(c, antilinear=True)
-    sign = 1 if row is RepRow.TWO else -1
-    return SymmetryOperator(_off_diagonal_block(c, sign), antilinear=True)
+    return _inversion(row, spin, row.eps_t(spin))
 
 
 def compose(a: SymmetryOperator, b: SymmetryOperator) -> SymmetryOperator:
     """Operator product a b ("apply b first"), with the antilinear twist.
 
-    When a is antilinear it conjugates everything to its right, so the
-    matrix of the product is a.matrix @ conj(b.matrix); the product is
-    antilinear exactly when the flags differ.
+    Row i of a b is signs_a[i] times row cols_a[i] of b.  When a is antilinear
+    it conjugates b's entries, which are real, so the product is the same
+    signed permutation either way; it is antilinear exactly when the flags differ.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    bm = np.conj(b.matrix) if a.antilinear else b.matrix
-    return SymmetryOperator(a.matrix @ bm, antilinear=a.antilinear != b.antilinear)
+    return SymmetryOperator(b.cols[a.cols], a.signs * b.signs[a.cols],
+                            antilinear=a.antilinear != b.antilinear)
 
 
 def apply_operator(op: SymmetryOperator, v) -> np.ndarray:
-    """Apply op to a complex vector: matrix @ v, conjugating v first if antilinear."""
+    """Apply op to a complex vector: signs * v[cols], conjugating v first if antilinear."""
     vec = np.asarray(v)
     if vec.shape != (op.dim,):
         raise ValueError(f"vector shape {vec.shape} does not match operator dimension {op.dim}")
-    return op.matrix @ (np.conj(vec) if op.antilinear else vec)
+    return op.signs * (np.conj(vec) if op.antilinear else vec)[op.cols]
 
 
 @dataclass(frozen=True)
@@ -240,8 +246,9 @@ class RelationReport:
         }
 
 
-def _is_scaled_identity(m: np.ndarray, factor: int) -> bool:
-    return bool(np.array_equal(m, factor * np.eye(m.shape[0], dtype=m.dtype)))
+def _is_scaled_identity(op: SymmetryOperator, factor: int) -> bool:
+    return (not op.antilinear and bool(np.array_equal(op.cols, np.arange(op.dim)))
+            and bool(np.all(op.signs == factor)))
 
 
 def verify_group_relations(row: RepRow, spin: SpinLabel) -> RelationReport:
@@ -258,28 +265,19 @@ def verify_group_relations(row: RepRow, spin: SpinLabel) -> RelationReport:
     eps_r = row.eps_r(spin)
     eps_t = row.eps_t(spin)
 
-    sigma_sq = compose(sigma, sigma)
-    r_sq = compose(r, r)
-    t_sq = compose(t, t)
     sigma_r = compose(sigma, r)
     r_sigma = compose(r, sigma)
-
-    if np.array_equal(r_sigma.matrix, sigma_r.matrix):
-        comm = 1
-    elif np.array_equal(r_sigma.matrix, -sigma_r.matrix):
-        comm = -1
-    else:
-        comm = 0
+    minus_sigma_r = SymmetryOperator(sigma_r.cols, -sigma_r.signs, sigma_r.antilinear)
+    comm = 1 if r_sigma == sigma_r else -1 if r_sigma == minus_sigma_r else 0
 
     return RelationReport(
         row=row,
         spin=spin,
         eps_r=eps_r,
         eps_t=eps_t,
-        sigma_squared_is_identity=_is_scaled_identity(sigma_sq.matrix, 1)
-        and not sigma_sq.antilinear,
-        r_squared_matches_eps_r=_is_scaled_identity(r_sq.matrix, eps_r) and not r_sq.antilinear,
-        t_squared_matches_eps_t=_is_scaled_identity(t_sq.matrix, eps_t) and not t_sq.antilinear,
+        sigma_squared_is_identity=_is_scaled_identity(compose(sigma, sigma), 1),
+        r_squared_matches_eps_r=_is_scaled_identity(compose(r, r), eps_r),
+        t_squared_matches_eps_t=_is_scaled_identity(compose(t, t), eps_t),
         t_equals_sigma_r=sigma_r == t,
         sigma_r_equals_r_sigma=sigma_r == r_sigma,
         commutation_sign=comm,

@@ -551,7 +551,10 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     (t < 0 for "upper", t > 0 for "lower"); is_member = leakage <
     HARDY_LEAKAGE_THRESHOLD.  F(t) = de e^{-i e0 t} FFT(f chirp); the factor
     outside the FFT has modulus de and cancels in the leakage, so only the FFT
-    is taken.  The chirp (_half_bin_chirp) of the last n is kept, 16 n bytes.
+    is taken, and |F| is scaled by a power of two below 1 / (n max|f|) before it is
+    squared, so finite samples never overflow |F|^2 and the ratio keeps its bits
+    (short of squares in the subnormals, far below the sums' last bit).
+    The chirp (_half_bin_chirp) of the last n is kept, 16 n bytes.
 
     Callers ask about both classes of the same samples, so a transform serves
     two calls: a call that computes one keeps a read-only copy of f with the
@@ -604,8 +607,10 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
         # t -> -t, and t < 0 exactly on the first n/2 samples
         work = np.multiply(f, _half_bin_chirp(n))
         np.fft.fft(work, out=work)
-        # |F|^2 goes into work's first 8 n bytes, free until f is copied in below
+        # |F|^2 goes into work's first 8 n bytes, free until f is copied in below; |F| <=
+        # n peak, scaled below 1 by a power of two (exact short of the subnormals) first
         energy = np.abs(work, out=work.view(float)[:n])
+        np.ldexp(energy, -(math.frexp(peak)[1] + math.frexp(n)[1]), out=energy)
         np.square(energy, out=energy)
         total = float(energy.sum())
         past, future = energy[:n // 2].sum(), energy[n // 2:].sum()

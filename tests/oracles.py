@@ -7,7 +7,10 @@ from sign changes of the raw matching condition, bound energies from
 mpmath's Lambert W at 60 digits, phase shifts from the textbook S-matrix at
 50 digits, winding counts from a brute-force densely sampled contour, and
 Hardy leakages from the closed-form transform of the windowed resonance
-samples, summed over its aliases (Poisson summation) with no FFT.
+samples, summed over its aliases (Poisson summation) with no FFT, and the
+inversion co-representations as dense integer matrices, built entry by entry
+from the conventions of the ``gamow.reps`` docstring, with the dense
+antilinear product and action (the library holds signed permutations).
 
 Seven exceptions are references kept verbatim from the code they
 replaced: ``scalar_find_poles``, the seed-by-seed Newton search that
@@ -41,6 +44,7 @@ import mpmath
 import numpy as np
 
 from gamow.dynamics import Kind, Law
+from gamow.reps import RepRow
 from gamow.scattering import (
     IM_KA_BOUND,
     PoleOnContourError,
@@ -449,3 +453,42 @@ def where_bound_functions(model, r, wr):
         u = u / np.sqrt(np.sum(wr * u * u))
         discrete.append((energy, u))
     return discrete
+
+
+# (s_sigma, s_r, s_t) of the doubled rows: Sigma = diag(I, s_sigma I),
+# R = [[0, C], [s_r C, 0]], T = [[0, C], [s_t C, 0]]
+_DOUBLED_ROW_SIGNS = {RepRow.TWO: (-1, -1, 1), RepRow.THREE: (-1, 1, -1), RepRow.FOUR: (1, -1, -1)}
+
+
+def dense_inversion_operators(row, spin):
+    """{"sigma", "r", "t"} -> (dense int64 matrix, antilinear) for one row.
+
+    C is filled entry by entry, c[mu, -mu] = (-1)^{j + mu} over the basis
+    mu = j, j-1, ..., -j; row one is Sigma = I, R = T = C, and the doubled
+    rows take their block layout and signs from _DOUBLED_ROW_SIGNS.
+    """
+    twice_j = spin.twice_j
+    n = twice_j + 1
+    c = np.zeros((n, n), dtype=np.int64)
+    for twice_mu in range(twice_j, -twice_j - 1, -2):
+        mu_index, minus_mu_index = (twice_j - twice_mu) // 2, (twice_j + twice_mu) // 2
+        c[mu_index, minus_mu_index] = (-1) ** ((twice_j + twice_mu) // 2)
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    if row is RepRow.ONE:
+        return {"sigma": (eye, False), "r": (c, True), "t": (c, True)}
+    s_sigma, s_r, s_t = _DOUBLED_ROW_SIGNS[row]
+    return {"sigma": (np.block([[eye, zero], [zero, s_sigma * eye]]), False),
+            "r": (np.block([[zero, c], [s_r * c, zero]]), True),
+            "t": (np.block([[zero, c], [s_t * c, zero]]), True)}
+
+
+def dense_product(a, b):
+    """(matrix, antilinear) of a b, b applied first: an antilinear a conjugates b's matrix."""
+    (ma, anti_a), (mb, anti_b) = a, b
+    return ma @ (np.conj(mb) if anti_a else mb), anti_a != anti_b
+
+
+def dense_apply(op, v):
+    """matrix @ v, conjugating v first when the operator is antilinear."""
+    matrix, antilinear = op
+    return matrix @ (np.conj(v) if antilinear else v)

@@ -265,6 +265,25 @@ class TestErrorMessages:
             f"error: {size} x {size} operator entries need about {cli._REPS_WORK_ARRAYS} work "
             "arrays of that size, over the budget of 134217728 float64 elements (1 GiB)\n")
 
+    def test_hardy_sample_near_overflow_is_finite(self, capsys):
+        # a sample of 2 / gamma = 2e300 once overflowed |F|^2 and printed leakage = nan
+        assert run(parse_args(["hardy", "--pole", "10,1e-300", "--emin", "9", "--emax", "11",
+                               "--n", "32"])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["upper half-plane: leakage = 0.5, member = False",
+                             "lower half-plane: leakage = 0.5, member = False"]
+
+    def test_reps_csv_builds_no_dense_matrix(self, capsys, monkeypatch):
+        # csv prints only the relations, so row two at 2j = 818 (d = 1638) stays O(d)
+        def unreachable(self):
+            raise AssertionError("a dense matrix was built for csv output")
+
+        monkeypatch.setattr(reps.SymmetryOperator, "matrix", property(unreachable))
+        assert run(parse_args(["reps", "--row", "2", "--twice-j", "818", "--format", "csv"])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "relation,value"
+        assert lines[-2:] == ["sigma_r_equals_r_sigma,False", "commutation_sign,-1"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     @pytest.mark.parametrize("row, factor", [(1, 1), (2, 2)])
     def test_reps_peak_within_its_work_arrays(self, row, factor, fmt):
@@ -611,6 +630,11 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("case", GOLDEN["sweeps"]["invocations"], ids=_sweep_case_id)
     def test_wide_phase_sweep_matches_golden_hash(self, case):
+        assert _stdout_sha256(case["argv"]) == case["sha256"]
+
+    @pytest.mark.parametrize("case", GOLDEN["reps_sweep"]["invocations"],
+                             ids=lambda case: "row{}-2j{}-{}".format(*case["argv"][2::2]))
+    def test_reps_sweep_matches_golden_hash(self, case):
         assert _stdout_sha256(case["argv"]) == case["sha256"]
 
     def test_every_subcommand_pins_every_format(self):

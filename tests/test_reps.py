@@ -1,7 +1,10 @@
 """Exact checks of the inversion co-representations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gamow.reps import (
     RepRow,
@@ -16,12 +19,34 @@ from gamow.reps import (
     verify_group_relations,
 )
 
+from oracles import dense_apply, dense_inversion_operators, dense_product
+
 ALL_ROWS = list(RepRow)
 SPINS = [SpinLabel(n) for n in range(5)]
 
 
 def identity_like(op):
-    return SymmetryOperator(np.eye(op.dim, dtype=np.int64), antilinear=False)
+    return SymmetryOperator(np.arange(op.dim), np.ones(op.dim, dtype=np.int64), antilinear=False)
+
+
+def library_operators(row, spin):
+    return {"sigma": build_sigma(row, spin), "r": build_r(row, spin), "t": build_t(row, spin)}
+
+
+@st.composite
+def signed_permutations(draw, dim):
+    cols = draw(st.permutations(range(dim)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=dim, max_size=dim))
+    return SymmetryOperator(np.array(cols, dtype=np.int64), np.array(signs), draw(st.booleans()))
+
+
+@st.composite
+def operators_and_vector(draw, count):
+    """count signed permutations of one dimension and a finite complex vector of it."""
+    dim = draw(st.integers(1, 12))
+    ops = [draw(signed_permutations(dim)) for _ in range(count)]
+    entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    return ops, np.array(draw(st.lists(entries, min_size=dim, max_size=dim)), dtype=complex)
 
 
 class TestCMatrix:
@@ -220,6 +245,98 @@ class TestValueSemantics:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            SymmetryOperator(np.zeros((2, 3)), antilinear=False)
+    def test_index_arrays_are_read_only(self):
+        op = build_t(RepRow.THREE, SpinLabel(2))
+        for array in (op.cols, op.signs):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+DENSE_SPINS = [SpinLabel(n) for n in range(41)]
+
+
+class TestDenseReference:
+    """The signed permutations against dense matrices built entry by entry from the
+    module docstring's conventions, over every row and 2j = 0..40."""
+
+    @pytest.mark.parametrize("row", ALL_ROWS)
+    def test_matrix_matches_dense_builder(self, row):
+        for spin in DENSE_SPINS:
+            dense = dense_inversion_operators(row, spin)
+            for name, op in library_operators(row, spin).items():
+                assert np.array_equal(op.matrix, dense[name][0]), (name, spin)
+                assert op.matrix.dtype == np.int64
+                assert op.antilinear == dense[name][1]
+
+    @pytest.mark.parametrize("row", ALL_ROWS)
+    def test_compose_matches_dense_product_for_all_ordered_pairs(self, row):
+        for spin in DENSE_SPINS:
+            dense = dense_inversion_operators(row, spin)
+            ops = library_operators(row, spin)
+            for a in ops:
+                for b in ops:
+                    product = compose(ops[a], ops[b])
+                    matrix, antilinear = dense_product(dense[a], dense[b])
+                    assert np.array_equal(product.matrix, matrix), (a, b, spin)
+                    assert product.antilinear == antilinear
+
+    @pytest.mark.parametrize("row", ALL_ROWS)
+    def test_apply_matches_dense_action(self, row):
+        rng = np.random.default_rng(row.value)
+        for spin in DENSE_SPINS:
+            dense = dense_inversion_operators(row, spin)
+            for name, op in library_operators(row, spin).items():
+                v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+                assert np.array_equal(apply_operator(op, v), dense_apply(dense[name], v))
+
+
+class TestSignedPermutationProperties:
+    @given(operators_and_vector(3))
+    def test_compose_is_associative(self, case):
+        (a, b, c), _ = case
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+    @given(operators_and_vector(2))
+    def test_apply_respects_compose(self, case):
+        (a, b), v = case
+        assert np.array_equal(apply_operator(compose(a, b), v),
+                              apply_operator(a, apply_operator(b, v)))
+
+    @given(st.data())
+    def test_constructor_rejects_a_non_permutation(self, data):
+        op = data.draw(signed_permutations(data.draw(st.integers(1, 12))))
+        cols = op.cols.copy()
+        i = data.draw(st.integers(0, op.dim - 1))
+        cols[i] = data.draw(st.integers(-3, op.dim + 3).filter(lambda x: x != cols[i]))
+        with pytest.raises(ValueError, match="permutation"):
+            SymmetryOperator(cols, op.signs, op.antilinear)
+
+    @given(st.data())
+    def test_constructor_rejects_a_sign_outside_plus_minus_one(self, data):
+        op = data.draw(signed_permutations(data.draw(st.integers(1, 12))))
+        signs = op.signs.astype(float)
+        signs[data.draw(st.integers(0, op.dim - 1))] = data.draw(
+            st.floats(-4.0, 4.0).filter(lambda x: abs(x) != 1.0))
+        with pytest.raises(ValueError, match="signs"):
+            SymmetryOperator(op.cols, signs, op.antilinear)
+
+    @given(st.data())
+    def test_constructor_rejects_a_length_mismatch(self, data):
+        op = data.draw(signed_permutations(data.draw(st.integers(1, 12))))
+        signs = np.resize(op.signs, op.dim + data.draw(st.sampled_from([-1, 1, 2])))
+        with pytest.raises(ValueError, match="one length"):
+            SymmetryOperator(op.cols, signs, op.antilinear)
+
+
+def test_group_relations_hold_no_dense_array():
+    # d = 1638 for row two at 2j = 818; a d x d int64 array would take 8 d^2 bytes
+    spin = SpinLabel(818)
+    d = 2 * spin.dim
+    tracemalloc.start()
+    try:
+        rep = verify_group_relations(RepRow.TWO, spin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.t_equals_sigma_r and rep.commutation_sign == -1
+    assert peak < 64 * d * 8

@@ -557,6 +557,24 @@ class TestHardyCheck:
                 want = phased_hardy_leakage(e, f, half_plane)
                 assert hardy_check(e, f, half_plane).leakage == pytest.approx(want, rel=2e-15)
 
+    def test_sample_near_overflow_gives_a_finite_leakage(self, monkeypatch):
+        # gamma = 1e-300 puts a sample of 2 / gamma on the grid, so the unscaled |F|^2
+        # overflows; pytest.ini turns its RuntimeWarning into an error
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        e, f = windowed_resonance_samples(10.0, 1e-300, 9.0, 11.0, 32)
+        leakages = [hardy_check(e, f, half_plane).leakage for half_plane in ("upper", "lower")]
+        assert leakages[0] + leakages[1] == pytest.approx(1.0, rel=1e-12)
+
+    @given(k=st.integers(-900, 900))
+    @example(k=900)
+    def test_leakage_is_unchanged_by_a_power_of_two(self, k):
+        # 2^k moves every |f| and |F| by the same exponent; the 1024 samples span
+        # 3e-11 to 20, so no product here reaches the subnormals or overflows
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 1024)
+        for half_plane in ("upper", "lower"):
+            assert (hardy_check(e, f * 2.0**k, half_plane).leakage
+                    == hardy_check(e, f, half_plane).leakage)
+
     def test_chirp_kept_once_and_read_only(self):
         chirp = spectral._half_bin_chirp(4096)
         assert spectral._half_bin_chirp(4096) is chirp
