@@ -38,10 +38,15 @@ and conj(f) sum to one exactly.  Callers ask about both classes of the same
 samples, so hardy_check transforms each sampled function once: the call that
 takes the FFT keeps a read-only copy of the samples with the two half-line
 sums and the total of |F|^2, and the next call drops that entry, using the
-sums when its samples equal the copy.  Sampling and both checks hold seven
-arrays of n float64: the energies (one), the samples, the cached chirp and
-one transform buffer (two each); the samples are built in place, the FFT is
-taken in place, and the input checks run over slices of n / 16 samples.
+sums when its samples equal the copy.  A transform multiplies the samples
+by a half-bin chirp into a new buffer and takes the FFT in place there.  The
+first transform of a sample count builds the chirp in that buffer itself, so
+sampling and both checks hold five arrays of n float64: the energies (one),
+the samples and the buffer (two each).  A second transform of the same count
+in a row keeps the chirp read-only for every later one (the warm path of a
+caller that repeats one n), which then holds seven; a transform of another
+count drops it.  The samples are built in place, and the input checks run
+over slices of n / 16 samples.
 
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
@@ -66,7 +71,6 @@ poles grids the same way.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -103,8 +107,10 @@ MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
 _GROUP_COLUMNS = 64               # continuum columns per angle-addition group
 _BLOCK_ROWS = 128                 # k rows per product when the continuum is applied
-_HARDY_WORK_ARRAYS = 8            # n-element float64 arrays: energies 1, samples 2, chirp 2, FFT 2
+_HARDY_WORK_ARRAYS = 8            # n-element float64 arrays: energies 1, samples 2, FFT buffer 2,
+                                  # and the kept chirp 2 on the warm path only
 _hardy_memo = None                # hardy_check's (samples, t<0 sum, t>0 sum, total) until reused
+_hardy_chirp = None               # (n of the last transform, its read-only chirp once n repeats)
 
 
 def check_grid_budget(*shape: int) -> None:
@@ -124,10 +130,10 @@ def _check_work_budget(shape: tuple[int, ...], arrays: int, what: str) -> None:
     more than MAX_GRID_ELEMENTS.
 
     Each path charges the tracemalloc peak of its run per grid point, rounded
-    up (the Hardy samples plus both hardy_check calls, the first with a cold
-    chirp cache, hold 7.16 arrays of n elements at n = 2^14, so they are
-    charged _HARDY_WORK_ARRAYS = 8); a shape beyond the grid budget itself
-    gets check_grid_budget's message.
+    up (the Hardy samples plus both hardy_check calls hold 5.16 arrays of n
+    elements at n = 2^14 on the first transform of n, and 7.15 on the one that
+    keeps the chirp, so they are charged _HARDY_WORK_ARRAYS = 8); a shape
+    beyond the grid budget itself gets check_grid_budget's message.
     """
     check_grid_budget(*shape)
     if arrays * math.prod(max(int(n), 1) for n in shape) > MAX_GRID_ELEMENTS:
@@ -521,9 +527,8 @@ def _check_sample_count(n: int) -> None:
         raise ValueError(f"need an even number of samples, got {n}")
 
 
-@functools.lru_cache(maxsize=1)
 def _half_bin_chirp(n: int) -> np.ndarray:
-    """exp(-2 pi i j (1/2 - n/2) / n), j = 0..n-1, read-only; only the latest n is kept.
+    """exp(-2 pi i j (1/2 - n/2) / n), j = 0..n-1, in a new writable array.
 
     It shifts the FFT's t grid by n/2 - 1/2 bins.  Its argument reaches pi n / 2
     rad, so it keeps exactly these operations: a rearranged form such as
@@ -534,8 +539,30 @@ def _half_bin_chirp(n: int) -> np.ndarray:
     np.multiply(chirp, -n / 2 + 0.5, out=chirp)
     np.divide(chirp, n, out=chirp)
     np.exp(chirp, out=chirp)
-    chirp.setflags(write=False)
     return chirp
+
+
+def _chirped(f: np.ndarray) -> np.ndarray:
+    """f times the half-bin chirp of its size, in a new buffer for the FFT.
+
+    A size met for the first time in a row gets the chirp built in that buffer;
+    the second gets it built apart and kept (see hardy_check).  Either way the
+    product is f * chirp, operands in that order, so its bits are the same.
+    """
+    global _hardy_chirp
+    n = f.size
+    # read once: a concurrent caller may replace the entry meanwhile
+    kept_n, chirp = _hardy_chirp or (0, None)
+    if kept_n != n:
+        # another size's chirp is freed before this buffer is made
+        _hardy_chirp, chirp = (n, None), None
+        work = _half_bin_chirp(n)
+        return np.multiply(f, work, out=work)
+    if chirp is None:
+        chirp = _half_bin_chirp(n)
+        chirp.setflags(write=False)
+        _hardy_chirp = (n, chirp)
+    return np.multiply(f, chirp)
 
 
 def hardy_check(energies, values, half_plane: str) -> HardyReport:
@@ -554,7 +581,11 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     is taken, and |F| is scaled by a power of two below 1 / (n max|f|) before it is
     squared, so finite samples never overflow |F|^2 and the ratio keeps its bits
     (short of squares in the subnormals, far below the sums' last bit).
-    The chirp (_half_bin_chirp) of the last n is kept, 16 n bytes.
+    The first transform of an n builds the chirp (_half_bin_chirp) in the FFT's
+    own buffer and keeps nothing of it: five arrays of n at the FFT, counting
+    the energies and samples.  A second transform of the same n in a row keeps
+    the chirp read-only (16 n bytes), and it serves every later transform of
+    that n (seven arrays at the FFT) until a transform of another n drops it.
 
     Callers ask about both classes of the same samples, so a transform serves
     two calls: a call that computes one keeps a read-only copy of f with the
@@ -605,7 +636,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
         del memo  # a stale entry is freed before the transform's arrays are made
         # t grid offset by half a bin: for even n no sample at t = 0, symmetric under
         # t -> -t, and t < 0 exactly on the first n/2 samples
-        work = np.multiply(f, _half_bin_chirp(n))
+        work = _chirped(f)
         np.fft.fft(work, out=work)
         # |F|^2 goes into work's first 8 n bytes, free until f is copied in below; |F| <=
         # n peak, scaled below 1 by a power of two (exact short of the subnormals) first
@@ -638,7 +669,10 @@ def windowed_resonance_samples(
     (energies, samples).  Before anything of size n is allocated, n must pass
     hardy_check's size rules (at least 16, even, and n times
     _HARDY_WORK_ARRAYS within MAX_GRID_ELEMENTS), with its messages, and
-    (e_max - e_min)^2 and 2 width^2 must be finite and nonzero.
+    (e_max - e_min)^2 and 2 width^2 must be finite and nonzero.  Samples that
+    overflow (gamma near the float minimum, on a grid that meets e_r) raise
+    ValueError("samples must be finite"), hardy_check's message, with no numpy
+    warning.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -659,4 +693,9 @@ def windowed_resonance_samples(
     np.divide(envelope, spread, out=envelope)
     np.exp(envelope, out=envelope)
     samples = np.subtract(e, complex(e_r, -0.5 * gamma))
-    return e, np.divide(envelope, samples, out=samples)
+    # |f| peaks near 2 / gamma, which overflows for gamma near the float minimum
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return e, np.divide(envelope, samples, out=samples)
+    except FloatingPointError:
+        raise ValueError("samples must be finite") from None

@@ -273,6 +273,15 @@ class TestErrorMessages:
         assert lines[1:] == ["upper half-plane: leakage = 0.5, member = False",
                              "lower half-plane: leakage = 0.5, member = False"]
 
+    def test_hardy_overflowing_samples_exit_one_with_one_line(self):
+        # E = 10 is on the grid, where |f| = 2 / gamma overflows; numpy's overflow and
+        # invalid-value warnings once came before the error line
+        result = invoke("hardy", "--pole", "10,1e-310", "--emin", "9", "--emax", "11",
+                        "--n", "32")
+        assert result.returncode == 1
+        assert result.stderr == b"error: samples must be finite\n"
+        assert result.stdout == b""
+
     def test_reps_csv_builds_no_dense_matrix(self, capsys, monkeypatch):
         # csv prints only the relations, so row two at 2j = 818 (d = 1638) stays O(d)
         def unreachable(self):
@@ -657,7 +666,8 @@ class TestGoldenOutput:
 
 class TestGoldenValues:
     """Every golden invocation prints the fixture's values, parsed in its own format:
-    labels, integers and row counts exactly, other numbers to 1e-12 of their column."""
+    labels, integers and row counts exactly, other numbers to 1e-12 of their column or
+    one unit in their 12th printed digit, whichever is larger."""
 
     @pytest.mark.parametrize("argv", [
         pytest.param(case["argv"], id=f"{i:02d}-{case['argv'][0]}-{parse_args(case['argv']).format}")
@@ -679,3 +689,20 @@ class TestGoldenValues:
         text = golden_values.cli_stdout(self.POLES_CSV)
         assert golden_values.check(self.POLES_CSV, text[:text.rindex("\n", 0, -1) + 1]) == [
             "3 lines or leaves, fixture has 4"]
+
+    SPECTRAL_CSV = ["spectral", "--g", "-5", "--a", "1", "--packet", "gaussian:2,0.4",
+                    "--format", "csv"]
+
+    @pytest.mark.parametrize("cell, problems", [
+        ("1.0000921268", []),
+        ("1.00009212681", ["reconstructed: 1.00009212681 vs 1.00009212679 (row 800), "
+                           "|diff| 2e-11 > 1e-11"]),
+    ], ids=["one-quantum", "two-quanta"])
+    def test_bound_is_one_print_quantum(self, cell, problems):
+        # a 1.2e-15 move of the value once flipped row 800's print between 1.0000921268
+        # and 1.00009212679: one unit in the 12th digit, ten times the column's 1e-12 bound
+        lines = golden_values.cli_stdout(self.SPECTRAL_CSV).splitlines(keepends=True)
+        r, packet, rebuilt = lines[801].split(",")
+        assert rebuilt == "1.00009212679\n"
+        lines[801] = f"{r},{packet},{cell}\n"
+        assert golden_values.check(self.SPECTRAL_CSV, "".join(lines)) == problems

@@ -415,21 +415,31 @@ class TestGridBudget:
         with pytest.raises(ValueError, match=f"grid of {spectral.MAX_GRID_ELEMENTS + 1} points exceeds"):
             check(spectral.MAX_GRID_ELEMENTS + 1)
 
-    @pytest.mark.parametrize("n", [2**14, 2**17])
-    def test_hardy_path_peak_within_its_work_arrays(self, n):
-        # what gamow hardy holds: the samples, then both half-plane checks, the first of
-        # them building the chirp
-        spectral._half_bin_chirp.cache_clear()
+    @staticmethod
+    def _hardy_path_peak(n):
+        """Traced peak of what gamow hardy holds: the samples, then both half-plane checks."""
         spectral._hardy_memo = None
         tracemalloc.start()
         try:
             e, f = windowed_resonance_samples(10.0, 0.1, -990.0, 1010.0, n)
             for half_plane in ("upper", "lower"):
                 hardy_check(e, f, half_plane)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= spectral._HARDY_WORK_ARRAYS * n * 8
+
+    @pytest.mark.parametrize("n", [2**14, 2**17])
+    def test_hardy_path_peak_within_its_work_arrays(self, monkeypatch, n):
+        # the first transform of n builds the chirp in the transform's buffer
+        monkeypatch.setattr(spectral, "_hardy_chirp", None)
+        assert self._hardy_path_peak(n) <= spectral._HARDY_WORK_ARRAYS * n * 8
+
+    @pytest.mark.parametrize("n", [2**14, 2**17])
+    def test_hardy_path_keeping_the_chirp_within_its_work_arrays(self, monkeypatch, n):
+        # the second transform of n builds the chirp apart and keeps it
+        monkeypatch.setattr(spectral, "_hardy_chirp", (n, None))
+        assert self._hardy_path_peak(n) <= spectral._HARDY_WORK_ARRAYS * n * 8
+        assert spectral._hardy_chirp[1] is not None
 
 
 class TestReconstruction:
@@ -565,6 +575,13 @@ class TestHardyCheck:
         leakages = [hardy_check(e, f, half_plane).leakage for half_plane in ("upper", "lower")]
         assert leakages[0] + leakages[1] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma", [1e-310, 1e-320])
+    def test_overflowing_samples_rejected(self, gamma):
+        # the grid meets E = 10 exactly, where |f| = 2 / gamma overflows; unchecked, numpy's
+        # divide warned (an error under pytest.ini) and returned inf and NaN samples
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            windowed_resonance_samples(10.0, gamma, 9.0, 11.0, 32)
+
     @given(k=st.integers(-900, 900))
     @example(k=900)
     def test_leakage_is_unchanged_by_a_power_of_two(self, k):
@@ -575,10 +592,53 @@ class TestHardyCheck:
             assert (hardy_check(e, f * 2.0**k, half_plane).leakage
                     == hardy_check(e, f, half_plane).leakage)
 
-    def test_chirp_kept_once_and_read_only(self):
-        chirp = spectral._half_bin_chirp(4096)
-        assert spectral._half_bin_chirp(4096) is chirp
-        assert not chirp.flags.writeable
+    def test_chirp_kept_once_and_read_only(self, monkeypatch):
+        # the first transform of an n keeps no chirp, the second keeps one read-only, and
+        # a transform of another n drops it; a memo hit takes no transform
+        monkeypatch.setattr(spectral, "_hardy_chirp", None)
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 4096)
+        for half_plane in ("upper", "lower"):
+            hardy_check(e, f, half_plane)
+            assert spectral._hardy_chirp[0] == 4096 and spectral._hardy_chirp[1] is None
+        hardy_check(e, np.conj(f), "upper")
+        n, chirp = spectral._hardy_chirp
+        assert n == 4096 and not chirp.flags.writeable
+        assert chirp.tobytes() == spectral._half_bin_chirp(4096).tobytes()
+        hardy_check(e, f, "upper")
+        assert spectral._hardy_chirp[1] is chirp
+        e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 2048)
+        hardy_check(e, f, "upper")
+        assert spectral._hardy_chirp[0] == 2048 and spectral._hardy_chirp[1] is None
+
+    @pytest.mark.parametrize("n", [2**14, 2**17])
+    @pytest.mark.parametrize("warm, arrays", [(False, 5), (True, 7)], ids=["cold", "warm"])
+    def test_transform_entry_holds_its_arrays(self, monkeypatch, n, warm, arrays):
+        # traced bytes when the FFT starts: the energies (one array of n float64), the
+        # samples and the transform buffer (two each), and on the warm path the kept chirp
+        monkeypatch.setattr(spectral, "_hardy_chirp", None)
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        fft, held = np.fft.fft, []
+
+        def spy(a, **kw):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return fft(a, **kw)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        tracemalloc.start()
+        try:
+            e, f = windowed_resonance_samples(10.0, 0.1, -990.0, 1010.0, n)
+            if warm:  # two transforms of n in a row keep its chirp
+                hardy_check(e, np.conj(f), "upper")
+                hardy_check(e, -f, "upper")
+                spectral._hardy_memo = None
+            del held[:]
+            report = hardy_check(e, f, "upper")
+        finally:
+            tracemalloc.stop()
+        assert (spectral._hardy_chirp[1] is not None) is warm
+        assert len(held) == 1 and held[0] <= arrays * n * 8 + 32 * 1024
+        assert report == uncached_hardy_check(e, f, "upper")
 
     def test_transform_runs_in_place(self, monkeypatch):
         # np.fft.fft's out= (numpy >= 2.0) writes the transform over its input buffer
@@ -665,6 +725,7 @@ class TestHardyMemo:
     equals the one-transform-per-call oracle's, leakage and is_member compared with ==."""
 
     N = 2**13
+    WARM = False  # whether each case starts with the chirp of its n kept
     CASES = {
         "upper-then-lower": ([("a", "upper"), ("a", "lower")], 1),
         "lower-then-upper": ([("a", "lower"), ("a", "upper")], 1),
@@ -683,12 +744,22 @@ class TestHardyMemo:
         return {"a": (e, f), "a-copy": (e.copy(), f.copy()), "b": (e_b, np.conj(f_b)),
                 "zeros": (e, zeros), "negative-zeros": (e, negative_zeros)}
 
-    @staticmethod
-    def _counted_transforms(monkeypatch):
+    def _fresh(self, monkeypatch, n):
+        """An empty memo, and n's chirp kept when WARM (as two transforms of n in a row
+        leave it), else none."""
+        monkeypatch.setattr(spectral, "_hardy_chirp", None)
+        if self.WARM:
+            e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, n)
+            for samples in (f, np.conj(f)):
+                hardy_check(e, samples, "upper")
+            assert spectral._hardy_chirp[1] is not None
+        monkeypatch.setattr(spectral, "_hardy_memo", None)
+
+    def _counted_transforms(self, monkeypatch):
+        self._fresh(monkeypatch, self.N)
         calls = []
         fft = np.fft.fft
         monkeypatch.setattr(np.fft, "fft", lambda a, **kw: calls.append(a.size) or fft(a, **kw))
-        monkeypatch.setattr(spectral, "_hardy_memo", None)
         return calls
 
     @pytest.mark.parametrize("steps, transforms", CASES.values(), ids=CASES)
@@ -711,7 +782,7 @@ class TestHardyMemo:
         assert report.is_member is False
 
     def test_entry_is_a_read_only_copy_dropped_by_its_hit(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        self._fresh(monkeypatch, self.N)
         e, f = self._sets()["a"]
         hardy_check(e, f, "upper")
         kept = spectral._hardy_memo[0]
@@ -746,7 +817,7 @@ class TestHardyMemo:
     def test_nan_in_the_last_check_slice_rejected(self, monkeypatch, hit, grid, index, message):
         # at n = 2^14 both input checks run over 16 slices of 1024 samples; np.max over the
         # slice maxima keeps a NaN from the last one
-        monkeypatch.setattr(spectral, "_hardy_memo", None)
+        self._fresh(monkeypatch, 2**14)
         e, f = windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 2**14)
         if hit:
             hardy_check(e, f, "upper")
@@ -757,17 +828,20 @@ class TestHardyMemo:
             hardy_check(*args, "lower")
         assert hardy_check(e, f, "lower") == uncached_hardy_check(e, f, "lower")
 
-    def test_threads_get_the_serial_reports(self):
+    def test_threads_get_the_serial_reports(self, monkeypatch):
+        # the third set's size replaces the kept chirp of the first two's, and back
         sets = [windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 2**12),
-                windowed_resonance_samples(3.0, 0.02, -17.0, 23.0, 2**12)]
+                windowed_resonance_samples(3.0, 0.02, -17.0, 23.0, 2**12),
+                windowed_resonance_samples(10.0, 0.1, -90.0, 110.0, 2**11)]
         planes = ("upper", "lower")
         serial = [[uncached_hardy_check(e, f, hp) for hp in planes] for e, f in sets]
+        self._fresh(monkeypatch, 2**12)
         wrong, finished = [], []
 
         def worker(offset):
             try:
                 for i in range(100):
-                    k = (i + offset) % 2
+                    k = (i + offset) % 3
                     for j, hp in enumerate(planes):
                         report = hardy_check(*sets[k], hp)
                         if report != serial[k][j]:
@@ -789,6 +863,12 @@ class TestHardyMemo:
             sys.setswitchinterval(interval)
         assert wrong == []
         assert sorted(finished) == [0, 1, 2, 3]
+
+
+class TestHardyMemoWarm(TestHardyMemo):
+    """Every TestHardyMemo case again, starting with the chirp of its n kept."""
+
+    WARM = True
 
 
 class TestWindowedSamples:
