@@ -45,8 +45,12 @@ sampling and both checks hold five arrays of n float64: the energies (one),
 the samples and the buffer (two each).  A second transform of the same count
 in a row keeps the chirp read-only for every later one (the warm path of a
 caller that repeats one n), which then holds seven; a transform of another
-count drops it.  The samples are built in place, and the input checks run
-over slices of n / 16 samples.
+count drops it.  Inside the transform numpy's pocketfft allocates two more
+arrays of n complex (four of float64) that tracemalloc does not see: peak
+RSS rises by 9.25 arrays of n over the process's start on the first
+transform and 11.26 on the one that keeps the chirp (n = 2^20), so the work
+budget charges _HARDY_WORK_ARRAYS = 12.  The samples are built in place, and
+the input checks run over slices of n / 16 samples.
 
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
@@ -61,6 +65,17 @@ the fewer than 64 leftover columns, O(n_k (n_r / 64 + 64)) elements (4.6 MB
 at n_k = 2000, n_r = 4001, against 64 MB for U).  expand applies U and
 reconstruct U^T, each as matrix products over row blocks of _BLOCK_ROWS k rows.
 
+Building the factors and applying them are split into shares of whole row
+blocks, one per worker: the calling thread runs the first share and a pool
+of threads, made on first use, the others.  The worker count is the CPUs the
+process may run on (its affinity mask) over the threads of one BLAS call,
+the first positive int in OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS; with
+neither set BLAS takes every CPU and the work stays on the calling thread.
+So a 2-CPU process with OPENBLAS_NUM_THREADS=1 uses both CPUs, and
+`taskset -c 0` keeps it on one.  Every block does the same arithmetic on the
+same operands whatever the split, and reconstruct adds the blocks in order,
+so no bit depends on the worker count.  The pool is dropped in a fork child.
+
 Work and memory are bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements
 (1 GiB): an (n_k, n_r) grid above it (the elements each application of the
 continuum works through), or n Hardy samples whose work arrays
@@ -71,7 +86,10 @@ poles grids the same way.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +125,13 @@ MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
 _GROUP_COLUMNS = 64               # continuum columns per angle-addition group
 _BLOCK_ROWS = 128                 # k rows per product when the continuum is applied
-_HARDY_WORK_ARRAYS = 8            # n-element float64 arrays: energies 1, samples 2, FFT buffer 2,
-                                  # and the kept chirp 2 on the warm path only
+_HARDY_WORK_ARRAYS = 12           # n-element float64 arrays: energies 1, samples 2, FFT buffer 2,
+                                  # pocketfft's own scratch 4, the kept chirp 2 on the warm path
+                                  # only, rounded up
 _hardy_memo = None                # hardy_check's (samples, t<0 sum, t>0 sum, total) until reused
 _hardy_chirp = None               # (n of the last transform, its read-only chirp once n repeats)
+_split = None                     # (worker count, pool of the others or None), made on first use
+_split_lock = threading.Lock()
 
 
 def check_grid_budget(*shape: int) -> None:
@@ -129,11 +150,13 @@ def _check_work_budget(shape: tuple[int, ...], arrays: int, what: str) -> None:
     """Raise ValueError when `arrays` float64 arrays of a grid of this shape would take
     more than MAX_GRID_ELEMENTS.
 
-    Each path charges the tracemalloc peak of its run per grid point, rounded
-    up (the Hardy samples plus both hardy_check calls hold 5.16 arrays of n
-    elements at n = 2^14 on the first transform of n, and 7.15 on the one that
-    keeps the chirp, so they are charged _HARDY_WORK_ARRAYS = 8); a shape
-    beyond the grid budget itself gets check_grid_budget's message.
+    Each path charges the peak of its run per grid point, rounded up.  The
+    Hardy samples plus both hardy_check calls hold 5.16 arrays of n elements
+    by tracemalloc at n = 2^14 on the first transform of n, and 7.15 on the
+    one that keeps the chirp; pocketfft's scratch, which tracemalloc misses,
+    brings peak RSS to 9.25 and 11.26 arrays at n = 2^20, so they are charged
+    _HARDY_WORK_ARRAYS = 12.  A shape beyond the grid budget itself gets
+    check_grid_budget's message.
     """
     check_grid_budget(*shape)
     if arrays * math.prod(max(int(n), 1) for n in shape) > MAX_GRID_ELEMENTS:
@@ -247,6 +270,95 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _worker_count() -> int:
+    """Shares of k rows each application of the continuum is split into.
+
+    The CPUs this process may run on (its affinity mask where the platform
+    has one), over the threads each BLAS call takes, read as numpy's bundled
+    OpenBLAS reads them: the first positive int in OPENBLAS_NUM_THREADS, then
+    OMP_NUM_THREADS.  With neither set OpenBLAS takes every CPU, and the
+    continuum stays on one thread: OpenBLAS's spinning threads hold the CPUs
+    a second share would need, and splitting made the expansion slower.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas = threads
+            break
+    return max(cpus // blas, 1)
+
+
+def _split_pool() -> tuple:
+    """(worker count, a pool of all workers but the caller, or None for one worker).
+
+    Made on the first application of a continuum, never at import.
+    """
+    global _split
+    with _split_lock:
+        if _split is None:
+            workers, pool = _worker_count(), None
+            if workers > 1:
+                from concurrent.futures import ThreadPoolExecutor
+                pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="gamow-continuum")
+            _split = (workers, pool)
+        return _split
+
+
+def _forget_split_pool() -> None:
+    """Drop the pool in a fork child, which has none of its threads (nor a held lock's owner)."""
+    global _split, _split_lock
+    _split, _split_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_split_pool)
+
+
+def _in_shares(n_rows: int, mine, theirs=None) -> list:
+    """Run a row-wise job over n_rows k rows, split into one share per worker.
+
+    Each share is a contiguous run of whole _BLOCK_ROWS-row blocks, passed as
+    a slice of rows.  mine(rows) runs the first share on the calling thread;
+    theirs(rows) (mine if not given) runs each later one on the pool, in a
+    copy of the caller's context, so np.errstate and other context variables
+    hold there too.  Returns theirs' results in row order.  Every share has
+    stopped before this returns or raises, so an exception in any share
+    reaches the caller only when nothing writes any more.  Functions of
+    scattering (which bench/tracing.py wraps) belong before the split: the
+    shares run numpy alone.
+    """
+    workers, pool = _split_pool()
+    if pool is None:
+        mine(slice(0, n_rows))
+        return []
+    blocks = -(-n_rows // _BLOCK_ROWS)
+    shares = max(min(workers, blocks), 1)
+    bounds = [min(_BLOCK_ROWS * (blocks * i // shares), n_rows) for i in range(shares + 1)]
+    runs = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    futures = [pool.submit(contextvars.copy_context().run, theirs or mine, rows)
+               for rows in runs[1:]]
+    try:
+        mine(runs[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits; the exception itself is raised by result() below
+    return [future.result() for future in futures]
+
+
+def _blocks(rows: slice):
+    """The _BLOCK_ROWS-row blocks of a share, in order (the last one may be short)."""
+    return (slice(first, min(first + _BLOCK_ROWS, rows.stop))
+            for first in range(rows.start, rows.stop, _BLOCK_ROWS))
+
+
 def _continuum_factors(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> tuple:
     """The angle-addition factors of the real scattering solutions u_k(r).
 
@@ -265,36 +377,46 @@ def _continuum_factors(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> 
     r <= a and then r > a, where start, shape (n_k, 2, (end - lo) / B), holds
     sin theta_q / M and cos theta_q / M (M = 1 outside) for columns lo:end,
     and rest the direct sin of the fewer than B columns end:hi, divided by M.
-    Each array is filled in place and made read-only; apart from them only
-    vectors of length n_k are allocated.
+    D(k) is evaluated on the calling thread; then each share of k rows
+    (_in_shares) fills its rows of every array in place, elementwise, so the
+    bits do not depend on the split.  The arrays are made read-only; apart
+    from them only vectors of length n_k are allocated.
     """
     kc = k[:, None]
     jost = _jost(model, kc)
     m, delta = np.abs(jost), np.angle(jost)
+    del jost  # 16 n_k bytes fewer beside the factors while the shares fill them
     n_in = np.searchsorted(r, model.a, side="right")
+    offsets = np.arange(_GROUP_COLUMNS) * (r[1] - r[0])
     rotation = np.empty((k.size, 2, _GROUP_COLUMNS))
-    np.multiply(kc, np.arange(_GROUP_COLUMNS) * (r[1] - r[0]), out=rotation[:, 1])
-    np.cos(rotation[:, 1], out=rotation[:, 0])
-    np.sin(rotation[:, 1], out=rotation[:, 1])
-    rotation.setflags(write=False)
     regions = []
-    for lo, hi, shift, scale in ((0, n_in, 0.0, m), (n_in, r.size, delta, 1.0)):
+    for lo, hi in ((0, n_in), (n_in, r.size)):
         end = hi - (hi - lo) % _GROUP_COLUMNS
         start = np.empty((k.size, 2, (end - lo) // _GROUP_COLUMNS))
-        theta = start[:, 1]
-        np.multiply(kc, r[lo:end:_GROUP_COLUMNS], out=theta)
-        theta += shift
-        np.sin(theta, out=start[:, 0])
-        np.cos(theta, out=theta)
-        start /= np.reshape(scale, (-1, 1, 1))
-        rest = np.empty((k.size, hi - end))
-        np.multiply(kc, r[end:hi], out=rest)
-        rest += shift
-        np.sin(rest, out=rest)
-        rest /= scale
-        start.setflags(write=False)
-        rest.setflags(write=False)
-        regions.append((int(lo), int(end), int(hi), start, rest))
+        regions.append((int(lo), int(end), int(hi), start, np.empty((k.size, hi - end))))
+
+    def fill(rows):
+        k_rows = kc[rows]
+        np.multiply(k_rows, offsets, out=rotation[rows, 1])
+        np.cos(rotation[rows, 1], out=rotation[rows, 0])
+        np.sin(rotation[rows, 1], out=rotation[rows, 1])
+        for (lo, end, hi, start, rest), shift, scale in zip(regions, (0.0, delta[rows]),
+                                                            (m[rows], 1.0)):
+            start, rest = start[rows], rest[rows]
+            theta = start[:, 1]
+            np.multiply(k_rows, r[lo:end:_GROUP_COLUMNS], out=theta)
+            theta += shift
+            np.sin(theta, out=start[:, 0])
+            np.cos(theta, out=theta)
+            start /= np.reshape(scale, (-1, 1, 1))
+            np.multiply(k_rows, r[end:hi], out=rest)
+            rest += shift
+            np.sin(rest, out=rest)
+            rest /= scale
+
+    _in_shares(k.size, fill)
+    for arr in [rotation] + [arr for *_, start, rest in regions for arr in (start, rest)]:
+        arr.setflags(write=False)
     return rotation, tuple(regions)
 
 
@@ -303,17 +425,21 @@ def _apply(continuum: tuple, v: np.ndarray) -> np.ndarray:
 
     Per region, with V = v[lo:end] split into groups of _GROUP_COLUMNS, row k
     gets sum_q sin theta_q (cos phi @ V^T)_q + cos theta_q (sin phi @ V^T)_q,
-    plus its leftover columns times v[end:hi]; _BLOCK_ROWS k rows at a time.
+    plus its leftover columns times v[end:hi]; _BLOCK_ROWS k rows at a time,
+    each share (_in_shares) writing its own rows.
     """
     rotation, regions = continuum
     out = np.zeros(rotation.shape[0])
-    for first in range(0, out.size, _BLOCK_ROWS):
-        rows = slice(first, first + _BLOCK_ROWS)
-        cos_sin = rotation[rows].reshape(-1, _GROUP_COLUMNS)
-        for lo, end, hi, start, rest in regions:
-            groups = cos_sin @ v[lo:end].reshape(-1, _GROUP_COLUMNS).T
-            groups = groups.reshape(start[rows].shape) * start[rows]
-            out[rows] += groups.sum(axis=(1, 2)) + rest[rows] @ v[end:hi]
+
+    def fill(share):
+        for rows in _blocks(share):
+            cos_sin = rotation[rows].reshape(-1, _GROUP_COLUMNS)
+            for lo, end, hi, start, rest in regions:
+                groups = cos_sin @ v[lo:end].reshape(-1, _GROUP_COLUMNS).T
+                groups = groups.reshape(start[rows].shape) * start[rows]
+                out[rows] += groups.sum(axis=(1, 2)) + rest[rows] @ v[end:hi]
+
+    _in_shares(out.size, fill)
     return out
 
 
@@ -325,18 +451,31 @@ def _apply_transpose(continuum: tuple, c: np.ndarray) -> np.ndarray:
     row blocks of _BLOCK_ROWS k rows in order.  So no one product sums more
     than 2 _BLOCK_ROWS terms: OpenBLAS 0.3.31 (x86-64, AVX-512) gave different
     bits under 1 and 2 threads when one product summed 400 to 500 terms (or
-    the whole k grid), and the same bits up to 300.
+    the whole k grid), and the same bits up to 300.  The calling thread adds
+    its own share's blocks as it goes, then each later share's (_in_shares),
+    which returns its blocks' products: the same additions in the same order
+    for any split.
     """
     rotation, regions = continuum
     out = np.zeros(regions[-1][2])
-    for first in range(0, c.size, _BLOCK_ROWS):
-        rows = slice(first, first + _BLOCK_ROWS)
-        cos_sin = rotation[rows].reshape(-1, _GROUP_COLUMNS)
-        for lo, end, hi, start, rest in regions:
-            weighted = start[rows] * c[rows, None, None]
+
+    def products(share):
+        for rows in _blocks(share):
+            cos_sin = rotation[rows].reshape(-1, _GROUP_COLUMNS)
+            for lo, end, hi, start, rest in regions:
+                weighted = start[rows] * c[rows, None, None]
+                yield (lo, end, hi, weighted.reshape(cos_sin.shape[0], -1).T @ cos_sin,
+                       c[rows] @ rest[rows])
+
+    def add(blocks):
+        for lo, end, hi, grouped, leftover in blocks:
             groups = out[lo:end].reshape(-1, _GROUP_COLUMNS)
-            groups += weighted.reshape(cos_sin.shape[0], -1).T @ cos_sin
-            out[end:hi] += c[rows] @ rest[rows]
+            groups += grouped
+            out[end:hi] += leftover
+
+    for theirs in _in_shares(c.size, lambda share: add(products(share)),
+                             lambda share: list(products(share))):
+        add(theirs)
     return out
 
 
@@ -440,8 +579,9 @@ def build_decomposition(
     n_r must be odd (Simpson weights), and n_k * n_r within MAX_GRID_ELEMENTS
     (checked before the k grid or the continuum factors allocate).  Bound
     eigenfunctions are normalized to unit quadrature norm; a bound state too
-    deep for that norm to be finite in float64 raises ValueError.  The continuum is held as its angle-addition factors
-    (_continuum_factors), each region evaluated on its own columns.
+    deep for that norm to be finite in float64 raises ValueError.  The
+    continuum is held as its angle-addition factors (_continuum_factors),
+    each region evaluated on its own columns.
     """
     _check_grid(model, k_max, n_k, r_max, n_r)
     r = np.linspace(0.0, r_max, n_r)
@@ -586,6 +726,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
     the energies and samples.  A second transform of the same n in a row keeps
     the chirp read-only (16 n bytes), and it serves every later transform of
     that n (seven arrays at the FFT) until a transform of another n drops it.
+    numpy's FFT adds scratch of its own, four arrays of n float64.
 
     Callers ask about both classes of the same samples, so a transform serves
     two calls: a call that computes one keeps a read-only copy of f with the

@@ -653,12 +653,16 @@ class TestGoldenOutput:
         assert wanted - pinned == set()
 
     def test_blas_threads_change_no_bit(self):
-        # the continuum's angle-addition products and the rebuild run through BLAS
+        # the continuum's angle-addition products and the rebuild run through BLAS, and the
+        # BLAS threads set how many shares of k rows they are split into: on 2 CPUs, two
+        # shares when pinned to 1, one when pinned to 2 or unset
         argv = ["spectral", "--g", "-5", "--a", "1", "--packet", "gaussian:2,0.4", "--format", "csv"]
+        unset = {name: value for name, value in os.environ.items()
+                 if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         hashes = set()
-        for threads in ("1", "2"):
-            result = subprocess.run(BASE + argv, capture_output=True, timeout=300,
-                                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2", None):
+            env = unset if threads is None else {**unset, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run(BASE + argv, capture_output=True, timeout=300, env=env)
             assert result.returncode == 0
             hashes.add(hashlib.sha256(result.stdout).hexdigest())
         assert len(hashes) == 1

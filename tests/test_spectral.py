@@ -1,7 +1,11 @@
 """Eigenfunction-expansion completeness and the Paley-Wiener classifier."""
 
+import contextvars
+import multiprocessing
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -204,8 +208,8 @@ class TestPiecewiseEigenfunctions:
             assert energy == energy_ref
             assert np.array_equal(u, u_ref)
 
-    def test_continuum_peak_memory(self):
-        # the factors are filled in place: their bytes plus vectors of length n_k
+    @staticmethod
+    def _factors_peak_over_their_bytes():
         k = np.linspace(30.0 / 2000, 30.0, 2000)
         r = np.linspace(0.0, R_MAX, N_R)
         tracemalloc.start()
@@ -216,7 +220,22 @@ class TestPiecewiseEigenfunctions:
             tracemalloc.stop()
         nbytes = rotation.nbytes + sum(start.nbytes + rest.nbytes for *_, start, rest in regions)
         assert nbytes <= 0.075 * k.size * r.size * 8
-        assert peak <= nbytes + 16 * k.size * 8
+        return peak - nbytes, k.size
+
+    def test_continuum_peak_memory(self, workers):
+        # the factors are filled in place: their bytes plus vectors of length n_k
+        workers(1)
+        over, n_k = self._factors_peak_over_their_bytes()
+        assert over <= 16 * n_k * 8
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_split_continuum_peak_memory(self, workers, count):
+        # each share past the first adds what one ufunc call of its own holds at once: numpy's
+        # iterator buffers, np.getbufsize() elements for each of at most three operands
+        workers(count)
+        spectral._in_shares(count * spectral._BLOCK_ROWS, lambda rows: None)  # pool made untraced
+        over, n_k = self._factors_peak_over_their_bytes()
+        assert over <= 16 * n_k * 8 + (count - 1) * 3 * np.getbufsize() * 8
 
     # 128 k rows per block: 300 rows end in a partial block, 40 fit in one, and blocks of
     # one row on the wide r grid each reduce over two terms (3584 groups in a product)
@@ -440,6 +459,256 @@ class TestGridBudget:
         monkeypatch.setattr(spectral, "_hardy_chirp", (n, None))
         assert self._hardy_path_peak(n) <= spectral._HARDY_WORK_ARRAYS * n * 8
         assert spectral._hardy_chirp[1] is not None
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    @pytest.mark.parametrize("chirp", ["first-transform", "keeping-the-chirp"])
+    def test_hardy_path_rss_within_its_work_arrays(self, chirp):
+        # numpy's FFT takes scratch that tracemalloc does not see, so the peak RSS of a fresh
+        # process is checked: it rises by 9.25 arrays of n on the first transform, 11.26 on
+        # the one that keeps the chirp.  VmHWM, unlike ru_maxrss, starts afresh at exec and
+        # does not carry the peak of the process that started it.
+        n = 2**20
+        code = ("import re, sys\n"
+                "from gamow import spectral\n"
+                "def peak():\n"
+                "    with open('/proc/self/status') as status:\n"
+                "        return int(re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1])\n"
+                f"n = {n}\n"
+                "if sys.argv[1] == 'keeping-the-chirp':\n"
+                "    spectral._hardy_chirp = (n, None)\n"
+                "before = peak()\n"
+                "e, f = spectral.windowed_resonance_samples(10.0, 0.1, -990.0, 1010.0, n)\n"
+                "for half_plane in ('upper', 'lower'):\n"
+                "    spectral.hardy_check(e, f, half_plane)\n"
+                "print(peak() - before)\n")
+        result = subprocess.run([sys.executable, "-c", code, chirp], capture_output=True,
+                                text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) * 1024 <= spectral._HARDY_WORK_ARRAYS * n * 8
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the worker count of the continuum's split; pools made here are shut down after."""
+    original = spectral._split
+
+    def shut_down_made_pool():
+        if spectral._split is not original and spectral._split and spectral._split[1]:
+            spectral._split[1].shutdown(wait=True)
+
+    def use(count):
+        shut_down_made_pool()
+        monkeypatch.setattr(spectral, "_worker_count", lambda: count)
+        monkeypatch.setattr(spectral, "_split", None)
+
+    yield use
+    shut_down_made_pool()
+
+
+def _factor_arrays(continuum):
+    rotation, regions = continuum
+    return [rotation] + [arr for *_, start, rest in regions for arr in (start, rest)]
+
+
+def _rebuild_in_child(sender):
+    decomp = build_decomposition(ATTRACTIVE, 30.0, 512, R_MAX, N_R)
+    sender.send(reconstruct(decomp, gaussian_packet(2.0, 0.4, R_MAX, N_R)).values.tobytes())
+    sender.close()
+
+
+class TestSplit:
+    """The continuum's k rows split into shares of whole row blocks, one per worker: the
+    worker count rule, bit identity for every count, the caller's context and errors, the
+    tracer's functions on the calling thread, and fork children."""
+
+    @pytest.mark.parametrize("cpus, env, expected", [
+        (2, {}, 1), (2, {"OPENBLAS_NUM_THREADS": "1"}, 2), (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (2, {"OMP_NUM_THREADS": "1"}, 2), (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "-1"}, 1), (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ])
+    def test_worker_count_is_cpus_over_blas_threads(self, monkeypatch, cpus, env, expected):
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert spectral._worker_count() == expected
+
+    def test_worker_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(spectral.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(spectral.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert spectral._worker_count() == 4
+
+    def test_import_makes_no_pool(self):
+        code = ("import threading, gamow\n"
+                "assert gamow.spectral._split is None\n"
+                "assert threading.active_count() == 1\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=120, env={**spectral.os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert result.returncode == 0, result.stderr
+
+    def test_one_worker_makes_no_pool(self, workers):
+        workers(1)
+        decomp = build_decomposition(STRONG, 30.0, 512, R_MAX, N_R)
+        reconstruct(decomp, gaussian_packet(2.0, 0.4, R_MAX, N_R))
+        assert spectral._split == (1, None)
+
+    @pytest.mark.parametrize("n_k, r_max, n_r, block_rows", [
+        (300, R_MAX, N_R, 128), (40, R_MAX, N_R, 128), (3, 8.0, 2**18 + 1, 1),
+    ], ids=["partial-last-block", "one-short-block", "one-row-blocks"])
+    @pytest.mark.parametrize("g, a", [(100.0, 1.0), (-5.0, 1.2345)], ids=["node", "between"])
+    def test_every_worker_count_gives_the_same_bits(self, monkeypatch, workers, n_k, r_max, n_r,
+                                                    block_rows, g, a):
+        monkeypatch.setattr(spectral, "_BLOCK_ROWS", block_rows)
+        model = DeltaShellModel(g=g, a=a)
+        k = np.linspace(30.0 / n_k, 30.0, n_k)
+        r = np.linspace(0.0, r_max, n_r)
+        rng = np.random.default_rng(n_k)
+        v, c = rng.standard_normal(n_r), rng.standard_normal(n_k)
+        results = []
+        for count in (1, 2, 3):
+            workers(count)
+            continuum = spectral._continuum_factors(model, k, r)
+            results.append(_factor_arrays(continuum) + [spectral._apply(continuum, v),
+                                                         spectral._apply_transpose(continuum, c)])
+        for result in results[1:]:
+            assert all(np.array_equal(x, y) for x, y in zip(result, results[0]))
+
+    def test_expansion_models_give_the_serial_bits(self, workers):
+        # two models per regime of the expansion benchmark, at the CLI default grid
+        rng = np.random.default_rng(24)
+        models = [(ga / a, a) for a, ga in zip(rng.choice([0.5, 1.0, 1.5, 2.0], 6), [
+            *rng.uniform(-10.0, -7.0, 2), *rng.uniform(50.0, 150.0, 2),
+            *(rng.uniform(0.05, 0.95, 2) * [1.0, -1.0])])]
+        packets = [gaussian_packet(c, w, R_MAX, N_R) for c, w in ((2.0, 0.4), (4.5, 0.25))]
+        results = []
+        for count in (1, 2):
+            workers(count)
+            result = []
+            for g, a in models:
+                decomp = build_decomposition(DeltaShellModel(g, a), 30.0, 2000, R_MAX, N_R)
+                result += _factor_arrays(decomp.continuum)
+                for packet in packets:
+                    result += [*expand(decomp, packet), reconstruct(decomp, packet).values]
+            results.append(result)
+        assert spectral._split[0] == 2 and spectral._split[1] is not None
+        assert all(np.array_equal(x, y) for x, y in zip(*results))
+
+    def test_threads_get_the_serial_bits(self, workers, attractive_decomp):
+        packets = [gaussian_packet(c, 0.4, R_MAX, N_R) for c in (1.5, 2.5, 3.5, 4.5)]
+        workers(1)
+        serial = [reconstruct(attractive_decomp, packet).values for packet in packets]
+        workers(2)
+        rebuilt = [[] for _ in packets]
+
+        def rebuild(i):
+            for _ in range(5):
+                rebuilt[i].append(reconstruct(attractive_decomp, packets[i]).values)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=rebuild, args=(i,)) for i in range(len(packets))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for values, reference in zip(rebuilt, serial):
+            assert len(values) == 5
+            assert all(np.array_equal(v, reference) for v in values)
+
+    def test_tracer_wrapped_functions_stay_on_the_calling_thread(self, workers, monkeypatch):
+        # bench/tracing.py counts scattering.denominator's points from a wrapper that is not
+        # thread-safe; the split must reach it on the calling thread only, as often as serially
+        denominator = scattering.denominator
+        calls = []
+
+        def recorded(model, k):
+            result = denominator(model, k)
+            calls.append((threading.get_ident(), result.size))
+            return result
+
+        monkeypatch.setattr(scattering, "denominator", recorded)
+        counts = []
+        for count in (1, 2):
+            workers(count)
+            calls.clear()
+            decomp = build_decomposition(STRONG, 30.0, 2000, R_MAX, N_R)
+            reconstruct(decomp, gaussian_packet(2.0, 0.4, R_MAX, N_R))
+            assert {ident for ident, _ in calls} == {threading.get_ident()}
+            counts.append(sum(points for _, points in calls))
+        assert spectral._split[1] is not None
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("over", ["raise", "ignore"])
+    def test_shares_run_in_the_callers_context(self, workers, over):
+        workers(2)
+        rows = spectral._BLOCK_ROWS
+        caller = threading.get_ident()
+        label = contextvars.ContextVar("label", default="unset")
+        seen = {}
+
+        def share(run):
+            seen[run.start] = (threading.get_ident() == caller, label.get(), np.geterr()["over"])
+            if run.start:  # only the pool's share overflows
+                np.float64(1e308) * 10.0
+
+        token = label.set("caller")
+        try:
+            with np.errstate(over=over):
+                if over == "raise":
+                    with pytest.raises(FloatingPointError, match="overflow"):
+                        spectral._in_shares(2 * rows, share)
+                else:
+                    spectral._in_shares(2 * rows, share)
+        finally:
+            label.reset(token)
+        assert seen == {0: (True, "caller", over), rows: (False, "caller", over)}
+
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_an_error_leaves_only_when_every_share_has_stopped(self, workers, failing):
+        workers(2)
+        caller = threading.get_ident()
+        finished = []
+
+        def share(run):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise LookupError(failing)
+            time.sleep(0.2)
+            finished.append(run.start)
+
+        with pytest.raises(LookupError, match=failing):
+            spectral._in_shares(2 * spectral._BLOCK_ROWS, share)
+        assert finished == [spectral._BLOCK_ROWS if failing == "caller" else 0]
+
+    def test_fork_child_makes_its_own_pool(self, workers):
+        workers(2)
+        decomp = build_decomposition(ATTRACTIVE, 30.0, 512, R_MAX, N_R)
+        expected = reconstruct(decomp, gaussian_packet(2.0, 0.4, R_MAX, N_R)).values.tobytes()
+        assert spectral._split[1] is not None
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_rebuild_in_child, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(120), "the fork child did not finish its reconstruction"
+            assert receiver.recv() == expected
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=30)
+        assert child.exitcode == 0
 
 
 class TestReconstruction:
