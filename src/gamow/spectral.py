@@ -46,11 +46,13 @@ the samples and the buffer (two each).  A second transform of the same count
 in a row keeps the chirp read-only for every later one (the warm path of a
 caller that repeats one n), which then holds seven; a transform of another
 count drops it.  Inside the transform numpy's pocketfft allocates two more
-arrays of n complex (four of float64) that tracemalloc does not see: peak
-RSS rises by 9.25 arrays of n over the process's start on the first
-transform and 11.26 on the one that keeps the chirp (n = 2^20), so the work
-budget charges _HARDY_WORK_ARRAYS = 12.  The samples are built in place, and
-the input checks run over slices of n / 16 samples.
+arrays of n complex (four of float64) that tracemalloc does not see.  At
+n = 2^20 peak RSS rises over the process's resident set by 9.2 arrays of n
+on its first transform and 11.2 on the one that keeps the chirp; when the
+path repeats, glibc serves the later buffers from its heap, which keeps
+what they free, and the rise settles at 12.1.  So the work budget charges
+_HARDY_WORK_ARRAYS = 13.  The samples are built in place, and the input
+checks run over slices of n / 16 samples.
 
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
@@ -67,14 +69,19 @@ reconstruct U^T, each as matrix products over row blocks of _BLOCK_ROWS k rows.
 
 Building the factors and applying them are split into shares of whole row
 blocks, one per worker: the calling thread runs the first share and a pool
-of threads, made on first use, the others.  The worker count is the CPUs the
-process may run on (its affinity mask) over the threads of one BLAS call,
-the first positive int in OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS; with
-neither set BLAS takes every CPU and the work stays on the calling thread.
-So a 2-CPU process with OPENBLAS_NUM_THREADS=1 uses both CPUs, and
-`taskset -c 0` keeps it on one.  Every block does the same arithmetic on the
-same operands whatever the split, and reconstruct adds the blocks in order,
-so no bit depends on the worker count.  The pool is dropped in a fork child.
+of threads, made on first use, the others.  The split is taken only when
+each BLAS call runs on one thread (the first positive int in
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, then OMP_NUM_THREADS is 1): the
+worker count is then the CPUs the process may run on (its affinity mask),
+and otherwise one, with the work on the calling thread.  So a 2-CPU process
+with OPENBLAS_NUM_THREADS=1 uses both CPUs, and `taskset -c 0` keeps it on
+one.  That is the one case measured faster (2 CPUs); more CPUs give more
+shares, unmeasured.  Every block does the same arithmetic on the same
+operands whatever the split, and reconstruct adds the blocks in order, so
+no bit depends on the worker count.  To keep that order, the products of
+the blocks past the first share wait for the caller's share: n_r float64
+per block, about (workers - 1) / workers * n_k n_r / 128 elements beside
+the factors while reconstruct runs.  The pool is dropped in a fork child.
 
 Work and memory are bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements
 (1 GiB): an (n_k, n_r) grid above it (the elements each application of the
@@ -125,9 +132,9 @@ MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
 _GROUP_COLUMNS = 64               # continuum columns per angle-addition group
 _BLOCK_ROWS = 128                 # k rows per product when the continuum is applied
-_HARDY_WORK_ARRAYS = 12           # n-element float64 arrays: energies 1, samples 2, FFT buffer 2,
-                                  # pocketfft's own scratch 4, the kept chirp 2 on the warm path
-                                  # only, rounded up
+_HARDY_WORK_ARRAYS = 13           # n-element float64 arrays of peak RSS: energies 1, samples 2,
+                                  # FFT buffer 2, the kept chirp 2, pocketfft's own scratch 4, and
+                                  # what the heap keeps when the path repeats (12.1), rounded up
 _hardy_memo = None                # hardy_check's (samples, t<0 sum, t>0 sum, total) until reused
 _hardy_chirp = None               # (n of the last transform, its read-only chirp once n repeats)
 _split = None                     # (worker count, pool of the others or None), made on first use
@@ -153,10 +160,11 @@ def _check_work_budget(shape: tuple[int, ...], arrays: int, what: str) -> None:
     Each path charges the peak of its run per grid point, rounded up.  The
     Hardy samples plus both hardy_check calls hold 5.16 arrays of n elements
     by tracemalloc at n = 2^14 on the first transform of n, and 7.15 on the
-    one that keeps the chirp; pocketfft's scratch, which tracemalloc misses,
-    brings peak RSS to 9.25 and 11.26 arrays at n = 2^20, so they are charged
-    _HARDY_WORK_ARRAYS = 12.  A shape beyond the grid budget itself gets
-    check_grid_budget's message.
+    one that keeps the chirp.  pocketfft's scratch, which tracemalloc misses,
+    brings the rise of peak RSS to 9.2 and 11.2 arrays at n = 2^20, and to
+    12.1 once the path repeats in one process (the heap keeps freed buffers),
+    so they are charged _HARDY_WORK_ARRAYS = 13.  A shape beyond the grid
+    budget itself gets check_grid_budget's message.
     """
     check_grid_budget(*shape)
     if arrays * math.prod(max(int(n), 1) for n in shape) > MAX_GRID_ELEMENTS:
@@ -274,26 +282,28 @@ def _worker_count() -> int:
     """Shares of k rows each application of the continuum is split into.
 
     The CPUs this process may run on (its affinity mask where the platform
-    has one), over the threads each BLAS call takes, read as numpy's bundled
-    OpenBLAS reads them: the first positive int in OPENBLAS_NUM_THREADS, then
-    OMP_NUM_THREADS.  With neither set OpenBLAS takes every CPU, and the
-    continuum stays on one thread: OpenBLAS's spinning threads hold the CPUs
-    a second share would need, and splitting made the expansion slower.
+    has one) when each BLAS call takes one thread, else one.  The threads are
+    read as numpy's bundled OpenBLAS reads them: the first positive int in
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, then OMP_NUM_THREADS.  With none
+    set OpenBLAS takes every CPU, and its spinning threads hold the CPUs a
+    second share would need: splitting made the expansion slower.  Only the
+    environment is read, so a limit set at run time (threadpoolctl) or
+    another BLAS library is not seen; either way no bit changes.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    blas = cpus
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    threads = 0
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(os.environ.get(name, ""))
         except ValueError:
             continue
         if threads > 0:
-            blas = threads
             break
-    return max(cpus // blas, 1)
+    if threads != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _split_pool() -> tuple:
@@ -454,7 +464,8 @@ def _apply_transpose(continuum: tuple, c: np.ndarray) -> np.ndarray:
     the whole k grid), and the same bits up to 300.  The calling thread adds
     its own share's blocks as it goes, then each later share's (_in_shares),
     which returns its blocks' products: the same additions in the same order
-    for any split.
+    for any split.  A later share's products cannot be summed ahead without
+    changing that order, so they wait for the caller, n_r float64 per block.
     """
     rotation, regions = continuum
     out = np.zeros(regions[-1][2])
