@@ -116,7 +116,9 @@ def amplitude(law: Law, pole: ResonancePole, t):
         )
     phase = -pole.e_r if law.regime == 0 else pole.e_r
     rate = 0.5 * pole.gamma if law.kind is Kind.GROWING else -0.5 * pole.gamma
-    amp = np.exp(complex(rate, phase) * ts)
+    # on the half-line rate * t <= 0: a product that overflows is a modulus that underflows to 0
+    with np.errstate(over="ignore"):
+        amp = np.exp(complex(rate, phase) * ts)
     return complex(amp) if amp.ndim == 0 else amp
 
 

@@ -160,6 +160,7 @@ def _g_sinc(model: DeltaShellModel, k):
     if not small.any():
         return model.g * np.sin(ka) / k
     out = model.g * np.sin(ka) / np.where(small, 1.0, k)
+    ka = np.where(small, ka, 0.0)  # the series only where it is taken: ka^2 may overflow elsewhere
     series = model.g * model.a * (1.0 - ka * ka / 6.0)
     return np.where(small, series, out)
 
@@ -405,8 +406,11 @@ def _branch_poles(model: DeltaShellModel, re_max: float) -> np.ndarray:
         w = ga + u
         f = u + _log_one_plus(u, ga) - target[live]
         d1 = 1.0 + 1.0 / w
-        with np.errstate(over="ignore"):  # w^2 overflows to f'' = -0 for huge g a
+        with np.errstate(over="ignore", invalid="ignore"):
             d2 = -1.0 / (w * w)
+        # for huge g a, w^2 overflows, to f'' = -0 or, once Im w^2 does too, to NaN; either
+        # way |f''| is below the smallest float, so it is taken as 0
+        d2[np.isnan(d2)] = 0.0
         step = 2.0 * f * d1 / (2.0 * d1 * d1 - f * d2)
         u = u - step
         done = np.abs(step) <= _HALLEY_CONVERGED * np.abs(u)

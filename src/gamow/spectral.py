@@ -57,35 +57,34 @@ checks run over slices of n / 16 samples.
 Decompositions are immutable after construction (arrays are read-only);
 reconstruction of independent packets may run concurrently.
 
-The continuum is never held as its (n_k, n_r) matrix U.  The r grid is
-uniform, so within each region (r <= a, r > a) the columns go in groups of
-_GROUP_COLUMNS = 64 and the angle-addition identity writes every element as
-sin theta_q cos phi_s + cos theta_q sin phi_s (over |D(k)| inside).  A
-decomposition holds those factors: cos phi_s and sin phi_s (n_k x 64), and
-per region sin theta_q and cos theta_q (n_k x groups) plus the direct sin of
-the fewer than 64 leftover columns, O(n_k (n_r / 64 + 64)) elements (4.6 MB
-at n_k = 2000, n_r = 4001, against 64 MB for U).  expand applies U and
-reconstruct U^T, each as matrix products over row blocks of _BLOCK_ROWS k rows.
-
-Building the factors and applying them are split into shares of whole row
-blocks, one per worker: the calling thread runs the first share and a pool
-of threads, made on first use, the others.  The split is taken only when
-each BLAS call runs on one thread (the first positive int in
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, then OMP_NUM_THREADS is 1): the
-worker count is then the CPUs the process may run on (its affinity mask),
-and otherwise one, with the work on the calling thread.  So a 2-CPU process
-with OPENBLAS_NUM_THREADS=1 uses both CPUs, and `taskset -c 0` keeps it on
-one.  That is the one case measured faster (2 CPUs); more CPUs give more
-shares, unmeasured.  Every block does the same arithmetic on the same
-operands whatever the split, and reconstruct adds the blocks in order, so
-no bit depends on the worker count.  To keep that order, the products of
-the blocks past the first share wait for the caller's share: n_r float64
-per block, about (workers - 1) / workers * n_k n_r / 128 elements beside
-the factors while reconstruct runs.  The pool is dropped in a fork child.
+The continuum is never held as its (n_k, n_r) matrix U.  Its kernel e^{ikr}
+is band-limited on the grids (numerical rank about k_max r_max / pi), so it
+is applied through a Gaussian-gridded FFT (Dutt & Rokhlin 1993; Greengard &
+Lee 2004).  About the middle node r_c, u_k(r) = Im(row_k e^{ik(r - r_c)}), with
+row_k = e^{ikr_c} / |D(k)| inside the shell and e^{ikr_c} e^{i delta_k} outside.
+With psi(x) = e^{-alpha x^2}, e^{ikx} is (1 / psi(x)) times a sum over the
+lattice kappa_m = 2 pi m / (N h) of Gaussian weights in kappa_m - k, where N
+is the power of two >= 2 (n_r - 1), h the r spacing, and each k reads at
+least its `taps` nearest lattice points: 34 at n_r = 4001 (N = 8192), 28 to
+40 on any grid.  alpha and the taps hold aliasing and tap truncation to
+e^{-36} of 1 / psi at the grid ends (_lattice).  So expand takes one FFT of length N,
+of v / psi inside as its real part and outside as its imaginary part, and
+one banded interpolation pass over blocks of at most _BLOCK_ROWS k rows;
+reconstruct is its adjoint, with one FFT too.  Against the np.where matrix
+W, both stay within 2e-15 x max|W| x the 1-norm of the vector at the CLI
+grid and 4e-14 on a sample of the tested (g, a) plane (rounding amplified by
+1 / psi, up to 66 at the grid ends), and elements within 7e-14 x max|u| of
+50 digits at k_max = 30 (2.5e-13 at k_max = 300, from rounding k r_c).  A
+decomposition holds the weights as one dense window per block (n_k (taps +
+about 6) elements at the CLI grid), the row factors and 1 / psi: 0.77 MB at
+n_k = 2000, n_r = 4001, against 64 MB for U.  Everything runs on the calling
+thread; the BLAS products sum at most _BLOCK_ROWS rows or one block's window
+(under 170 lattice points), and reconstruct adds the blocks in order, so no
+bit depends on the BLAS thread count.
 
 Work and memory are bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements
-(1 GiB): an (n_k, n_r) grid above it (the elements each application of the
-continuum works through), or n Hardy samples whose work arrays
+(1 GiB): an (n_k, n_r) grid above it, a continuum whose FFT, k nodes and
+lattice would need more (_check_grid), or n Hardy samples whose work arrays
 (_HARDY_WORK_ARRAYS of n elements) would exceed it, are rejected before
 anything of their size is allocated; the CLI charges its phase, evolve and
 poles grids the same way.
@@ -93,10 +92,7 @@ poles grids the same way.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,15 +126,14 @@ HARDY_LEAKAGE_THRESHOLD = 1e-4
 END_DECAY_THRESHOLD = 1e-8        # required |f(ends)| / max|f|
 MAX_GRID_ELEMENTS = 2**27         # float64 elements per grid or matrix: 1 GiB
 _TAIL_MASS_LIMIT = 1e-6           # packet norm^2 fraction allowed beyond 0.8 r_max
-_GROUP_COLUMNS = 64               # continuum columns per angle-addition group
 _BLOCK_ROWS = 128                 # k rows per product when the continuum is applied
+_LATTICE_DECAY = 36.0             # -ln of the continuum lattice's aliasing and tap truncation
+_FFT_WORK_ARRAYS = 12             # float64 of peak RSS per continuum FFT point (11.2 measured)
 _HARDY_WORK_ARRAYS = 13           # n-element float64 arrays of peak RSS: energies 1, samples 2,
                                   # FFT buffer 2, the kept chirp 2, pocketfft's own scratch 4, and
                                   # what the heap keeps when the path repeats (12.1), rounded up
 _hardy_memo = None                # hardy_check's (samples, t<0 sum, t>0 sum, total) until reused
 _hardy_chirp = None               # (n of the last transform, its read-only chirp once n repeats)
-_split = None                     # (worker count, pool of the others or None), made on first use
-_split_lock = threading.Lock()
 
 
 def check_grid_budget(*shape: int) -> None:
@@ -227,9 +222,9 @@ class SpectralDecomposition:
 
     discrete: tuple of (energy, eigenfunction-on-r-grid) pairs, each with
     unit quadrature norm.  k/k_weights realize the continuum measure
-    (2/pi) dk.  continuum holds the read-only angle-addition factors of the
-    continuum functions on the k and r grids (see _continuum_factors), not
-    their matrix; expand and reconstruct apply them.
+    (2/pi) dk.  continuum holds the read-only row factors and lattice weights
+    of the continuum functions on the k and r grids (see _continuum_factors),
+    not their matrix; expand and reconstruct apply them through an FFT.
 
     It takes ownership of the arrays it is given: float arrays are kept
     without a copy and made read-only, so a caller must not write to them
@@ -278,216 +273,144 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _worker_count() -> int:
-    """Shares of k rows each application of the continuum is split into.
+def _lattice(n_r: int, h: float) -> tuple:
+    """(N, dk, alpha, taps): the FFT length, lattice spacing, Gaussian and taps of an r grid.
 
-    The CPUs this process may run on (its affinity mask where the platform
-    has one) when each BLAS call takes one thread, else one.  The threads are
-    read as numpy's bundled OpenBLAS reads them: the first positive int in
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, then OMP_NUM_THREADS.  With none
-    set OpenBLAS takes every CPU, and its spinning threads hold the CPUs a
-    second share would need: splitting made the expansion slower.  Only the
-    environment is read, so a limit set at run time (threadpoolctl) or
-    another BLAS library is not seen; either way no bit changes.
+    N is the power of two >= 2 (n_r - 1), so the period L = N h is at least twice
+    r_max.  The columns sit at x_j = (j - c) h, |x_j| <= X = c h, c = (n_r - 1) / 2.
+    alpha sets the aliasing error psi(L - X) / psi(X) = e^{-alpha L (L - 2X)} to
+    e^{-_LATTICE_DECAY}; the taps are the fewest for which the first weight left
+    out, e^{-(taps dk / 2)^2 / (4 alpha)}, is that far below 1 / psi(X).
     """
-    threads = 0
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            break
-    if threads != 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _split_pool() -> tuple:
-    """(worker count, a pool of all workers but the caller, or None for one worker).
-
-    Made on the first application of a continuum, never at import.
-    """
-    global _split
-    with _split_lock:
-        if _split is None:
-            workers, pool = _worker_count(), None
-            if workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="gamow-continuum")
-            _split = (workers, pool)
-        return _split
-
-
-def _forget_split_pool() -> None:
-    """Drop the pool in a fork child, which has none of its threads (nor a held lock's owner)."""
-    global _split, _split_lock
-    _split, _split_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_split_pool)
-
-
-def _in_shares(n_rows: int, mine, theirs=None) -> list:
-    """Run a row-wise job over n_rows k rows, split into one share per worker.
-
-    Each share is a contiguous run of whole _BLOCK_ROWS-row blocks, passed as
-    a slice of rows.  mine(rows) runs the first share on the calling thread;
-    theirs(rows) (mine if not given) runs each later one on the pool, in a
-    copy of the caller's context, so np.errstate and other context variables
-    hold there too.  Returns theirs' results in row order.  Every share has
-    stopped before this returns or raises, so an exception in any share
-    reaches the caller only when nothing writes any more.  Functions of
-    scattering (which bench/tracing.py wraps) belong before the split: the
-    shares run numpy alone.
-    """
-    workers, pool = _split_pool()
-    if pool is None:
-        mine(slice(0, n_rows))
-        return []
-    blocks = -(-n_rows // _BLOCK_ROWS)
-    shares = max(min(workers, blocks), 1)
-    bounds = [min(_BLOCK_ROWS * (blocks * i // shares), n_rows) for i in range(shares + 1)]
-    runs = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    futures = [pool.submit(contextvars.copy_context().run, theirs or mine, rows)
-               for rows in runs[1:]]
-    try:
-        mine(runs[0])
-    finally:
-        for future in futures:
-            future.exception()  # waits; the exception itself is raised by result() below
-    return [future.result() for future in futures]
-
-
-def _blocks(rows: slice):
-    """The _BLOCK_ROWS-row blocks of a share, in order (the last one may be short)."""
-    return (slice(first, min(first + _BLOCK_ROWS, rows.stop))
-            for first in range(rows.start, rows.stop, _BLOCK_ROWS))
+    n = 1 << (2 * (n_r - 1) - 1).bit_length()
+    period, half = n * h, (n_r - 1) // 2 * h
+    alpha = _LATTICE_DECAY / (period * (period - 2.0 * half))
+    reach = math.sqrt(4.0 * alpha * (_LATTICE_DECAY + alpha * half * half))
+    return n, 2.0 * math.pi / period, alpha, math.ceil(period / math.pi * reach)
 
 
 def _continuum_factors(model: DeltaShellModel, k: np.ndarray, r: np.ndarray) -> tuple:
-    """The angle-addition factors of the real scattering solutions u_k(r).
+    """The continuum functions u_k(r) as row factors and a banded lattice interpolation.
 
     From the Jost function D(k) (scattering._jost): for real k,
     e^{-ika} conj(D(k)) = M e^{i delta_k}, where delta_k is the s-wave phase
     shift (S = e^{2i delta_k}) and M = |D(k)|.  Matching at the shell then
     gives u_k(r) = sin(kr) / M for r <= a and sin(kr + delta_k) for r > a,
-    with asymptotic amplitude 1.
+    with asymptotic amplitude 1: u_k(r_j) = Im(row_k e^{i k x_j}), where
+    x_j = r_j - r_c about the middle node r_c and row_k = e^{i k r_c} / M inside,
+    e^{i k r_c} e^{i delta_k} outside.
 
-    r must be uniform (linspace, spacing h = r[1] - r[0]).  Each region's
-    columns then go in groups of _GROUP_COLUMNS: column lo + B q + s is
-    sin(theta_q + phi_s) = sin theta_q cos phi_s + cos theta_q sin phi_s, with
-    theta_q = k r[lo + B q] (+ delta_k outside) and phi_s = k s h, divided by
-    M inside.  Returns (rotation, regions): rotation, shape (n_k, 2, B), holds
-    cos phi_s and sin phi_s; regions holds (lo, end, hi, start, rest) for
-    r <= a and then r > a, where start, shape (n_k, 2, (end - lo) / B), holds
-    sin theta_q / M and cos theta_q / M (M = 1 outside) for columns lo:end,
-    and rest the direct sin of the fewer than B columns end:hi, divided by M.
-    D(k) is evaluated on the calling thread; then each share of k rows
-    (_in_shares) fills its rows of every array in place, elementwise, so the
-    bits do not depend on the split.  The arrays are made read-only; apart
-    from them only vectors of length n_k are allocated.
+    r must be uniform (linspace, spacing h) and k increasing.  With psi(x) =
+    e^{-alpha x^2} and the lattice kappa_m = m dk (_lattice), the Fourier series
+    of psi(x) e^{ikx} on the period N h gives
+    e^{ikx_j} = (1 / psi(x_j)) sum_m c_m(k) e^{i kappa_m x_j}, with
+    c_m(k) =(dk / 2 pi) sqrt(pi / alpha) e^{-(kappa_m - k)^2 / (4 alpha)}, of which
+    each k needs its `taps` nearest lattice points.  Returns (rows, columns,
+    blocks, lattice): rows, shape (n_k, 2), holds row_k inside and outside;
+    columns, length n_r, holds 1 / psi(x_j) inside and i / psi(x_j) outside;
+    blocks holds (first, stop, lo, weights) per run of at most _BLOCK_ROWS k rows
+    whose nearest taps start fewer than _BLOCK_ROWS lattice points apart, and
+    weights holds c_m / 2 for every row of the run and every point of the
+    window their taps span (rows x window; each row's far points only add
+    accuracy), from lattice point m_lo + lo on; lattice is (N, m_lo, m_hi, c).
+    The arrays are read-only.
     """
-    kc = k[:, None]
-    jost = _jost(model, kc)
-    m, delta = np.abs(jost), np.angle(jost)
-    del jost  # 16 n_k bytes fewer beside the factors while the shares fill them
-    n_in = np.searchsorted(r, model.a, side="right")
-    offsets = np.arange(_GROUP_COLUMNS) * (r[1] - r[0])
-    rotation = np.empty((k.size, 2, _GROUP_COLUMNS))
-    regions = []
-    for lo, hi in ((0, n_in), (n_in, r.size)):
-        end = hi - (hi - lo) % _GROUP_COLUMNS
-        start = np.empty((k.size, 2, (end - lo) // _GROUP_COLUMNS))
-        regions.append((int(lo), int(end), int(hi), start, np.empty((k.size, hi - end))))
-
-    def fill(rows):
-        k_rows = kc[rows]
-        np.multiply(k_rows, offsets, out=rotation[rows, 1])
-        np.cos(rotation[rows, 1], out=rotation[rows, 0])
-        np.sin(rotation[rows, 1], out=rotation[rows, 1])
-        for (lo, end, hi, start, rest), shift, scale in zip(regions, (0.0, delta[rows]),
-                                                            (m[rows], 1.0)):
-            start, rest = start[rows], rest[rows]
-            theta = start[:, 1]
-            np.multiply(k_rows, r[lo:end:_GROUP_COLUMNS], out=theta)
-            theta += shift
-            np.sin(theta, out=start[:, 0])
-            np.cos(theta, out=theta)
-            start /= np.reshape(scale, (-1, 1, 1))
-            np.multiply(k_rows, r[end:hi], out=rest)
-            rest += shift
-            np.sin(rest, out=rest)
-            rest /= scale
-
-    _in_shares(k.size, fill)
-    for arr in [rotation] + [arr for *_, start, rest in regions for arr in (start, rest)]:
+    n_r, c = r.size, (r.size - 1) // 2
+    n, dk, alpha, taps = _lattice(n_r, r[1] - r[0])
+    jost = _jost(model, k)
+    m = np.abs(jost)
+    rows = np.empty((k.size, 2), dtype=complex)
+    np.exp(1j * (k * r[c]), out=rows[:, 0])
+    np.multiply(rows[:, 0], jost / m, out=rows[:, 1])
+    rows[:, 0] /= m
+    x = (np.arange(n_r) - c) * (r[1] - r[0])
+    columns = np.exp(alpha * x * x).astype(complex)
+    columns[np.searchsorted(r, model.a, side="right"):] *= 1j
+    # the taps nearest k_i start at lattice point first[i]; a block's rows share one window
+    t = k / dk
+    first = np.ceil(t - 0.5 * taps).astype(np.int64)
+    m_lo, m_hi = int(first[0]), int(first[-1]) + taps
+    scale = 0.5 / (n * (r[1] - r[0])) * math.sqrt(math.pi / alpha)
+    blocks, lo = [], 0
+    while lo < k.size:
+        hi = min(lo + _BLOCK_ROWS, int(np.searchsorted(first, first[lo] + _BLOCK_ROWS)))
+        # (kappa_m - k_i) / dk, exact up to the rounding of t
+        weights = (first[lo] - t[lo:hi])[:, None] + np.arange(first[hi - 1] - first[lo] + taps)
+        np.square(weights, out=weights)
+        weights *= -dk * dk / (4.0 * alpha)
+        with np.errstate(under="ignore"):  # far taps of a wide window are zero
+            np.exp(weights, out=weights)
+        weights *= scale
+        weights.setflags(write=False)
+        blocks.append((lo, hi, int(first[lo]) - m_lo, weights))
+        lo = hi
+    for arr in (rows, columns):
         arr.setflags(write=False)
-    return rotation, tuple(regions)
+    return rows, columns, tuple(blocks), (n, m_lo, m_hi, c)
+
+
+def _lattice_points(lattice: tuple) -> tuple:
+    """The FFT indices of the lattice points m_lo .. m_hi - 1 and of their negatives."""
+    n, m_lo, m_hi, _ = lattice
+    m = np.arange(m_lo, m_hi)
+    return m % n, -m % n
 
 
 def _apply(continuum: tuple, v: np.ndarray) -> np.ndarray:
     """U v: the continuum matrix U (rows by k, columns by r) times a vector on the r grid.
 
-    Per region, with V = v[lo:end] split into groups of _GROUP_COLUMNS, row k
-    gets sum_q sin theta_q (cos phi @ V^T)_q + cos theta_q (sin phi @ V^T)_q,
-    plus its leftover columns times v[end:hi]; _BLOCK_ROWS k rows at a time,
-    each share (_in_shares) writing its own rows.
+    One FFT of length N takes v / psi inside as its real part and outside as its
+    imaginary part, so that Z_m + conj(Z_-m) and -i (Z_m - conj(Z_-m)) are twice
+    the two regions' lattice sums; each block of k rows then reads its window of
+    them in one product, and U v = Im(row_in S_in) + Im(row_out S_out).
     """
-    rotation, regions = continuum
-    out = np.zeros(rotation.shape[0])
-
-    def fill(share):
-        for rows in _blocks(share):
-            cos_sin = rotation[rows].reshape(-1, _GROUP_COLUMNS)
-            for lo, end, hi, start, rest in regions:
-                groups = cos_sin @ v[lo:end].reshape(-1, _GROUP_COLUMNS).T
-                groups = groups.reshape(start[rows].shape) * start[rows]
-                out[rows] += groups.sum(axis=(1, 2)) + rest[rows] @ v[end:hi]
-
-    _in_shares(out.size, fill)
-    return out
+    rows, columns, blocks, lattice = continuum
+    n, m_lo, m_hi, c = lattice
+    z = np.zeros(n, dtype=complex)
+    # column j goes to FFT index (j - c) mod N, so x_j = (j - c) h
+    np.multiply(v[c:], columns[c:], out=z[:v.size - c])
+    np.multiply(v[:c], columns[:c], out=z[n - c:])
+    np.fft.ifft(z, norm="forward", out=z)
+    ahead, behind = _lattice_points(lattice)
+    ahead, behind = np.conj(z[ahead]), z[behind]
+    # i conj of both sums, so that each product's columns come out as (Im S, Re S)
+    sums = np.empty((m_hi - m_lo, 2), dtype=complex)
+    np.add(ahead, behind, out=sums[:, 0])
+    sums[:, 0] *= 1j
+    np.subtract(behind, ahead, out=sums[:, 1])
+    sums = sums.view(float)
+    out = np.empty((rows.shape[0], 4))
+    for first, stop, lo, weights in blocks:
+        np.matmul(weights, sums[lo:lo + weights.shape[1]], out=out[first:stop])
+    # Im(row S) = Re row Im S + Im row Re S, per region
+    return np.einsum("ij,ij->i", out, rows.view(float))
 
 
 def _apply_transpose(continuum: tuple, c: np.ndarray) -> np.ndarray:
     """U^T c: the transposed continuum matrix times a vector on the k grid.
 
-    Per region, the groups of columns lo:end get (sin theta * c)^T @ cos phi +
-    (cos theta * c)^T @ sin phi and the leftover columns c @ rest, summed over
-    row blocks of _BLOCK_ROWS k rows in order.  So no one product sums more
-    than 2 _BLOCK_ROWS terms: OpenBLAS 0.3.31 (x86-64, AVX-512) gave different
-    bits under 1 and 2 threads when one product summed 400 to 500 terms (or
-    the whole k grid), and the same bits up to 300.  The calling thread adds
-    its own share's blocks as it goes, then each later share's (_in_shares),
-    which returns its blocks' products: the same additions in the same order
-    for any split.  A later share's products cannot be summed ahead without
-    changing that order, so they wait for the caller, n_r float64 per block.
+    The adjoint of _apply: each block spreads c row_in and c row_out onto its
+    lattice window, the blocks added in order, so no product sums more than
+    _BLOCK_ROWS terms (OpenBLAS 0.3.31 gave different bits under 1 and 2
+    threads when one product summed 400 to 500 terms, and the same bits up to
+    300).  Folding A_in and A_out Hermitian as -i (A_in,m - conj(A_in,-m)) +
+    (A_out,m - conj(A_out,-m)) makes one FFT give both regions: its real part
+    inside and its imaginary part outside, each times 1 / psi.
     """
-    rotation, regions = continuum
-    out = np.zeros(regions[-1][2])
-
-    def products(share):
-        for rows in _blocks(share):
-            cos_sin = rotation[rows].reshape(-1, _GROUP_COLUMNS)
-            for lo, end, hi, start, rest in regions:
-                weighted = start[rows] * c[rows, None, None]
-                yield (lo, end, hi, weighted.reshape(cos_sin.shape[0], -1).T @ cos_sin,
-                       c[rows] @ rest[rows])
-
-    def add(blocks):
-        for lo, end, hi, grouped, leftover in blocks:
-            groups = out[lo:end].reshape(-1, _GROUP_COLUMNS)
-            groups += grouped
-            out[end:hi] += leftover
-
-    for theirs in _in_shares(c.size, lambda share: add(products(share)),
-                             lambda share: list(products(share))):
-        add(theirs)
-    return out
+    rows, columns, blocks, lattice = continuum
+    n, m_lo, m_hi, mid = lattice
+    spread = np.zeros((m_hi - m_lo, 4))
+    weighted = (rows * c[:, None]).view(float)
+    for first, stop, lo, weights in blocks:
+        spread[lo:lo + weights.shape[1]] += weights.T @ weighted[first:stop]
+    inside, outside = spread.view(complex).T
+    ahead, behind = _lattice_points(lattice)
+    y = np.zeros(n, dtype=complex)
+    np.add.at(y, ahead, outside - 1j * inside)
+    np.add.at(y, behind, -np.conj(outside + 1j * inside))
+    np.fft.ifft(y, norm="forward", out=y)
+    y = np.concatenate([y[n - mid:], y[:columns.size - mid]])
+    return y.real * columns.real + y.imag * columns.imag
 
 
 def _adaptive_k_grid(model: DeltaShellModel, k_max: float, n_k: int) -> np.ndarray:
@@ -566,16 +489,29 @@ def _check_grid(model: DeltaShellModel, k_max: float, n_k: int, r_max: float, n_
     """Raise ValueError for grid arguments build_decomposition cannot take.
 
     Checked before anything of the grids' size is allocated: positive sizes
-    (n_k >= 8, n_r >= 3), n_k * n_r within MAX_GRID_ELEMENTS, r_max > 2a.
-    The budget bounds the n_k * n_r elements each application of the
-    continuum works through; the factors themselves hold
-    O(n_k (n_r / 64 + 64)) elements.
+    (n_k >= 8, n_r >= 3), n_k * n_r within MAX_GRID_ELEMENTS, r_max > 2a, and
+    the continuum's work within MAX_GRID_ELEMENTS too.  That work is measured
+    as the rise of peak RSS over builds and reconstructions: 10.0 to 11.2
+    float64 per point of the FFT (N about 2 n_r: its buffer, pocketfft's
+    scratch and the vectors on the r grid), charged _FFT_WORK_ARRAYS = 12;
+    the weights' taps plus 13 to 15 per k node, charged taps + 16; and 11.9
+    per lattice point the k grid reaches (k_max / dk of them, so k_max r_max
+    must be finite), charged that plus the _BLOCK_ROWS weights a block of k
+    rows may hold per point of its window.
     """
     if k_max <= 0 or r_max <= 0 or n_k < 8 or n_r < 3:
         raise ValueError("grid parameters must be positive (n_k >= 8, n_r >= 3)")
     check_grid_budget(n_k, n_r)
     if r_max <= 2 * model.a:
         raise ValueError("r_max must exceed the shell radius comfortably (r_max > 2a)")
+    n, dk, _, taps = _lattice(n_r, r_max / (n_r - 1))
+    span = k_max / dk + taps + 2
+    work = _FFT_WORK_ARRAYS * n + (taps + 16) * n_k + (_BLOCK_ROWS + 16) * span
+    if not work <= MAX_GRID_ELEMENTS:  # also false for an infinite or NaN k_max
+        raise ValueError(f"the continuum on k_max = {k_max:g}, r_max = {r_max:g} needs an FFT of "
+                         f"{n} points and a lattice of {span:.4g}, about {work:.4g} float64 work "
+                         f"elements, over the budget of {MAX_GRID_ELEMENTS} float64 elements "
+                         "(1 GiB)")
 
 
 def build_decomposition(
@@ -587,12 +523,12 @@ def build_decomposition(
 ) -> SpectralDecomposition:
     """Assemble bound and continuum eigendata on radial/momentum grids.
 
-    n_r must be odd (Simpson weights), and n_k * n_r within MAX_GRID_ELEMENTS
-    (checked before the k grid or the continuum factors allocate).  Bound
+    n_r must be odd (Simpson weights), and the grids within MAX_GRID_ELEMENTS
+    (_check_grid, before the k grid or the continuum allocate).  Bound
     eigenfunctions are normalized to unit quadrature norm; a bound state too
     deep for that norm to be finite in float64 raises ValueError.  The
-    continuum is held as its angle-addition factors (_continuum_factors),
-    each region evaluated on its own columns.
+    continuum is held as its row factors and lattice weights
+    (_continuum_factors), the shell's two regions apart.
     """
     _check_grid(model, k_max, n_k, r_max, n_r)
     r = np.linspace(0.0, r_max, n_r)

@@ -148,6 +148,59 @@ class TestErrorMessages:
                                 "r grid\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("grid, fft, lattice, work", [
+        (["--kmax", "1e308"], 8192, "inf", "inf"),
+        (["--nk", "8", "--nr", "4194307"], 16777216, "220", "2.014e+08"),
+    ], ids=["lattice", "fft"])
+    def test_continuum_over_budget_rejected_before_any_allocation(self, capsys, monkeypatch,
+                                                                  grid, fft, lattice, work):
+        # --kmax 1e308 printed numpy's overflow and invalid-value warnings, then "packet values
+        # must be finite"; --nr 4194307 fits n_k n_r but not the FFT of 2^24 points it takes
+        def unreachable(*args):
+            raise AssertionError("allocation reached with an over-budget continuum")
+
+        for name in ("gaussian_packet", "_adaptive_k_grid", "_continuum_factors"):
+            monkeypatch.setattr(spectral, name, unreachable)
+        argv = ["spectral", "--g", "5", "--a", "1", *grid, "--packet", "gaussian:2,0.4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(argv)) == 1
+        captured = capsys.readouterr()
+        k_max = "1e+308" if grid[0] == "--kmax" else "30"
+        assert captured.err == (f"error: the continuum on k_max = {k_max}, r_max = 10 needs an "
+                                f"FFT of {fft} points and a lattice of {lattice}, about {work} "
+                                "float64 work elements, over the budget of 134217728 float64 "
+                                "elements (1 GiB)\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("g", ["1e306", "1e307", "1.7e308"])
+    def test_huge_coupling_exits_zero_without_warnings(self, capsys, g):
+        # g = 1e307 ended in a RuntimeError traceback from the Lambert-W branches
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(["spectral", "--g", g, "--a", "1",
+                                   "--packet", "gaussian:2,0.4"])) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "nan" not in captured.out
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["phase", "--g", "100", "--a", "1", "--emin", "1e-320", "--emax", "1e308", "--n", "4"],
+         "e935871a7d67f187f21bcc045af6b6afb24d606740a5788eb1963b2ffd9a36c7"),
+        (["evolve", "--er", "1e308", "--gamma", "1e308", "--law", "d0", "--t0", "0",
+          "--t1", "1e308", "--n", "3"],
+         "9e58ffb9268aecbca6ff51221e5c911eda07a1f19a0c982830c1cf778fea66cd"),
+    ], ids=["phase-small-ka-series", "evolve-overflowing-rate"])
+    def test_extreme_grids_print_no_warning(self, capsys, argv, sha256):
+        # both printed an overflow RuntimeWarning and exited 0: the small-ka series of the
+        # shell's g sin(ka)/k was evaluated on every element, and the decay rate times t
+        # overflowed to -inf (an amplitude of 0); stdout is the same bytes as then
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(argv)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+
     def test_bad_width_rejected_before_build(self, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("build_decomposition reached with a bad packet width")
@@ -653,9 +706,8 @@ class TestGoldenOutput:
         assert wanted - pinned == set()
 
     def test_blas_threads_change_no_bit(self):
-        # the continuum's angle-addition products and the rebuild run through BLAS, and the
-        # BLAS threads set how many shares of k rows they are split into: on 2 CPUs, two
-        # shares when pinned to 1, one when pinned to 2 or unset
+        # the continuum's lattice products run through BLAS, none of them summing more than
+        # 128 k rows or a window of lattice points, and the rebuild adds them in order
         argv = ["spectral", "--g", "-5", "--a", "1", "--packet", "gaussian:2,0.4", "--format", "csv"]
         unset = {name: value for name, value in os.environ.items()
                  if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -704,9 +756,10 @@ class TestGoldenValues:
     ], ids=["one-quantum", "two-quanta"])
     def test_bound_is_one_print_quantum(self, cell, problems):
         # a 1.2e-15 move of the value once flipped row 800's print between 1.0000921268
-        # and 1.00009212679: one unit in the 12th digit, ten times the column's 1e-12 bound
+        # and 1.00009212679: one unit in the 12th digit, ten times the column's 1e-12 bound;
+        # the fixture holds 1.00009212679, and the lattice transform prints 1.0000921268
         lines = golden_values.cli_stdout(self.SPECTRAL_CSV).splitlines(keepends=True)
         r, packet, rebuilt = lines[801].split(",")
-        assert rebuilt == "1.00009212679\n"
+        assert rebuilt == "1.0000921268\n"
         lines[801] = f"{r},{packet},{cell}\n"
         assert golden_values.check(self.SPECTRAL_CSV, "".join(lines)) == problems
