@@ -232,6 +232,9 @@ def _run_evolve(args) -> None:
     law = dynamics.Law.from_code(args.law)
     if args.n < 1:
         raise ValueError("need at least 1 sample")
+    # both ends are finite (_finite); only a span that np.linspace will take can overflow
+    if args.n > 1 and not math.isfinite(args.t1 - args.t0):
+        raise ValueError(f"time span t1 - t0 = {args.t1} - {args.t0} overflows")
     spectral._check_work_budget((args.n,), _EVOLVE_WORK_ARRAYS, "time samples")
     times = np.linspace(args.t0, args.t1, args.n) if args.n > 1 else np.array([args.t0])
     state = dynamics.GamowState(pole=pole, kind=law.kind, regime=law.regime)

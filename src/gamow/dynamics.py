@@ -106,6 +106,9 @@ def amplitude(law: Law, pole: ResonancePole, t):
 
     A float t gives a complex, an array gives a complex array.  Any t off the
     law's half-line (NaN included) raises HalfDomainError naming the first one.
+    Where the modulus e^{-Gamma |t| / 2} underflows the amplitude is 0, even if
+    E_R t overflows; where E_R t overflows and the modulus does not, the phase
+    is undefined and ValueError names the first such t.
     """
     ts = np.asarray(t, dtype=float)
     outside = ~law.admits(ts)
@@ -116,9 +119,18 @@ def amplitude(law: Law, pole: ResonancePole, t):
         )
     phase = -pole.e_r if law.regime == 0 else pole.e_r
     rate = 0.5 * pole.gamma if law.kind is Kind.GROWING else -0.5 * pole.gamma
-    # on the half-line rate * t <= 0: a product that overflows is a modulus that underflows to 0
-    with np.errstate(over="ignore"):
-        amp = np.exp(complex(rate, phase) * ts)
+    # on the half-line rate * t <= 0: a product that overflows is a modulus that underflows to 0;
+    # a phase E_R t that overflows makes the amplitude NaN, which is 0 where the modulus is
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = complex(rate, phase) * ts
+        amp = np.exp(exponent)
+    lost = np.isnan(amp)
+    if lost.any():
+        undefined = lost & (np.exp(exponent.real) > 0)
+        if undefined.any():
+            raise ValueError(f"E_R t overflows at t = {ts[undefined][0]} with E_R = {pole.e_r}, "
+                             "so the amplitude's phase is undefined")
+        amp = np.where(lost, 0j, amp)
     return complex(amp) if amp.ndim == 0 else amp
 
 

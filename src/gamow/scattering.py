@@ -71,6 +71,8 @@ _SEED_CHUNK = 4096
 # most 3 steps over |g a| in [1e-8, 3e5] (405 seeded models, 63 branches each).
 _HALLEY_MAX_STEPS = 16
 _HALLEY_CONVERGED = 1e-10
+# Branches breit_wigner_fit may compute to count a window's poles (one per pi / a of Re k).
+_FIT_MAX_BRANCHES = 1 << 16
 
 
 class PoleOnContourError(RuntimeError):
@@ -371,14 +373,15 @@ def _log_one_plus(u: np.ndarray, ga: float) -> np.ndarray:
     return out
 
 
-def _branch_poles(model: DeltaShellModel, re_max: float) -> np.ndarray:
-    """Every resonance pole k with 0 < Re k < re_max, in closed form, ascending in Re k.
+def _branch_poles(model: DeltaShellModel, re_max: float, re_min: float = 0.0) -> np.ndarray:
+    """Every resonance pole k with re_min <= Re k < re_max, in closed form, ascending in Re k.
 
     In u = w - g a = -2ika the log form of the Lambert branches,
     w + ln w = ln(g a) + g a + 2 pi i n, becomes u + Log(1 + u/(g a)) = -2 pi i m
     (principal Log).  Branch m = 1, 2, ... has Im u in [-(2m + 1) pi, -(2m - 1) pi),
     so its pole k = i u / 2a lies in (m - 1/2) pi < a Re k <= (m + 1/2) pi, one per
-    branch, and the branches below re_max are m < a re_max / pi + 1/2.  Branch
+    branch, and the branches that can reach [re_min, re_max) are
+    a re_min / pi - 1/2 <= m < a re_max / pi + 1/2.  Branch
     m = 0 holds k = 0 and, for g a < 0, the bound state or the virtual state on
     the imaginary axis, so neither is ever returned.  In mpmath's numbering
     branch m is W_{-m} for g a > 0 and W_{-m-1} for g a < 0.  k = i u / 2a takes
@@ -386,16 +389,17 @@ def _branch_poles(model: DeltaShellModel, re_max: float) -> np.ndarray:
     for narrow poles; g a up to any finite size cannot overflow.
 
     Each branch starts from u = -2 pi i m - Log(1 - 2 pi i m / (g a)) and runs
-    Halley's iteration until its step is below 1e-10 |u|.  The caller bounds
-    re_max: the result has about a re_max / pi entries.  A product g a that
-    underflows to 0 is a free particle, S = 1, and has no poles.  Raises
+    Halley's iteration until its step is below 1e-10 |u|.  The caller bounds the
+    range: the result has about a (re_max - re_min) / pi entries.  A product g a
+    that underflows to 0 is a free particle, S = 1, and has no poles.  Raises
     RuntimeError if a branch has not converged after _HALLEY_MAX_STEPS steps.
     """
     ga = model.g * model.a
     if ga == 0:
         return np.empty(0, dtype=complex)
-    count = math.ceil(re_max * model.a / math.pi + 0.5) - 1
-    target = np.arange(1, max(count, 0) + 1) * (-2j * math.pi)
+    first = max(math.ceil(re_min * model.a / math.pi - 0.5), 1)
+    last = math.ceil(re_max * model.a / math.pi + 0.5) - 1
+    target = np.arange(first, max(last, first - 1) + 1) * (-2j * math.pi)
     u = target - _log_one_plus(target, ga)
     out = np.empty_like(u)
     live = np.arange(u.size)
@@ -417,10 +421,10 @@ def _branch_poles(model: DeltaShellModel, re_max: float) -> np.ndarray:
         out[live[done]] = u[done]
         live, u = live[~done], u[~done]
     if live.size:
-        raise RuntimeError(f"Lambert W branch {int(live[0]) + 1} of g a = {ga!r} did not "
+        raise RuntimeError(f"Lambert W branch {int(live[0]) + first} of g a = {ga!r} did not "
                            f"converge in {_HALLEY_MAX_STEPS} Halley steps")
     k = 0.5j * out / model.a
-    return k[k.real < re_max]
+    return k[(re_min <= k.real) & (k.real < re_max)]
 
 
 def _rectangle_path(region: SearchRegion, n_per_side: int) -> np.ndarray:
@@ -523,23 +527,27 @@ def breit_wigner_fit(
 ) -> tuple[float, float]:
     """Fit the resonance profile of sin^2(delta) over an energy window.
 
-    The window must contain exactly one resonance pole (checked against
-    find_poles); sin^2(delta) is sampled at 400 energies and the fitted
-    (E_R, Gamma) are returned.  Raises ResonanceFitError when the window
-    holds zero or several resonances or when the fit rms residual exceeds
-    0.05.
+    The window must contain exactly one resonance pole with -2/a < Im k <
+    -1e-12 (counted among the closed-form poles of _branch_poles, whose
+    branches within 2 % of the window's Re k are computed);
+    sin^2(delta) is sampled at 400 energies and the fitted (E_R, Gamma) are
+    returned.  Raises ValueError when that Re k range spans more than
+    _FIT_MAX_BRANCHES branches, ResonanceFitError when the window holds zero
+    or several resonances or when the fit rms residual exceeds 0.05.
     """
     e_lo, e_hi = window
     if not (0 < e_lo < e_hi):
         raise ValueError(f"window must satisfy 0 < e_lo < e_hi, got {window}")
-    re_lo = 0.98 * np.sqrt(e_lo)
-    re_hi = 1.02 * np.sqrt(e_hi)
-    region = SearchRegion(re_lo, re_hi, -2.0 / model.a, -1e-12, n_re=32, n_im=16)
-    in_window = [p for p in find_poles(model, region) if e_lo <= p.e_r <= e_hi]
-    if len(in_window) != 1:
-        raise ResonanceFitError(
-            f"window {window} contains {len(in_window)} resonances; need exactly 1"
-        )
+    re_min, re_max = 0.98 * math.sqrt(e_lo), 1.02 * math.sqrt(e_hi)
+    if (re_max - re_min) * model.a / math.pi > _FIT_MAX_BRANCHES:
+        raise ValueError(f"window {window} spans Re k {re_min:.6g} to {re_max:.6g}, more than "
+                         f"the {_FIT_MAX_BRANCHES} resonance branches a fit may search")
+    poles = _branch_poles(model, re_max, re_min)
+    e_r = (poles * poles).real
+    in_window = np.count_nonzero((e_lo <= e_r) & (e_r <= e_hi)
+                                 & (-2.0 / model.a < poles.imag) & (poles.imag < -1e-12))
+    if in_window != 1:
+        raise ResonanceFitError(f"window {window} contains {in_window} resonances; need exactly 1")
     energies = np.linspace(e_lo, e_hi, 400)
     delta = phase_shift_curve(model, energies)
     er, gam, rms = fit_breit_wigner_curve(energies, np.sin(delta) ** 2)

@@ -20,7 +20,10 @@ an even integer, e.g. r_max = 10, n_r = 4001, a = 1); the k integral uses
 trapezoid weights on a grid that clusters nodes around any resonance too
 narrow for uniform spacing to resolve (the closed-form Lambert-W poles of
 scattering._branch_poles), since a uniform grid stalls near 1e-2 relative
-error for sharp resonances.
+error for sharp resonances.  The grid is one piecewise-linear map from node
+index to k, with breakpoints at the ends and at the windows' edges, so it
+has exactly n_k nodes by construction; a window is kept only if it holds
+n_k distinct floats, so its nodes cannot repeat one.
 
 The Paley-Wiener check classifies a sampled energy-space function by the
 time support of its Fourier transform, with the convention that f(E) pairs
@@ -414,75 +417,65 @@ def _apply_transpose(continuum: tuple, c: np.ndarray) -> np.ndarray:
 
 
 def _adaptive_k_grid(model: DeltaShellModel, k_max: float, n_k: int) -> np.ndarray:
-    """k nodes: uniform background plus dense windows on narrow resonances.
+    """k nodes: one piecewise-linear map from node index to k, dense on narrow resonances.
 
     The resonances are the closed-form Lambert-W poles with 0 < Re k < k_max
     (scattering._branch_poles), at most n_k of them: more than one per node
     could not each get a window.  A resonance counts as narrow when its
-    |Im k_pole| is below four uniform spacings; each narrow pole gets a window
-    of +-40 |Im k_pole| (overlapping windows merge) sharing half the node
-    budget (split in proportion to 1/width, at least 16 nodes each, so the
-    narrowest n_k // 32 windows are kept).  With no window (no narrow pole, or
-    none wide enough to hold two floats) the grid is plain uniform on
-    (0, k_max]; so it is, without computing any pole, when n_k < 64 leaves no
-    budget for windows.
+    |Im k_pole| is below four uniform spacings.  Its window, Re k +- 40 |Im k|
+    clipped to [k_max / n_k, k_max], is kept only if it holds n_k distinct
+    floats.  Windows that overlap, or whose gap could not hold n_k floats,
+    merge with the smaller |Im k|; a window that close to an end of the grid
+    reaches it; and the narrowest n_k // 32 windows are kept.  The grid's ends
+    and the windows' edges are the map's breakpoints.  Each window gets 16
+    nodes and each gap 2, and the rest of the n_k - 1 steps go half to the
+    windows in proportion to 1/|Im k| and half to the gaps in proportion to
+    their length, rounded cumulatively.  So the grid has exactly n_k nodes,
+    ends on k_max, and strictly increases: every segment holds more floats
+    than it gets nodes.  With no window (no narrow pole, or none that holds
+    n_k floats) the grid is plain uniform on (0, k_max]; so it is, without
+    computing any pole, when n_k < 64 leaves no budget for windows.
     """
     k_lo = k_max / n_k
-    uniform_dk = k_max / n_k
-    narrow_cut = 4.0 * uniform_dk
     if n_k < 64:
         return np.linspace(k_lo, k_max, n_k)
     windows = []
     for k in _branch_poles(model, min(k_max, n_k * np.pi / model.a)).tolist():
-        hw = 40.0 * abs(k.imag)
-        lo = max(k.real - hw, k_lo)
-        hi = min(k.real + hw, k_max)
-        if abs(k.imag) < narrow_cut and lo < hi:
-            windows.append([lo, hi, abs(k.imag)])
+        width = abs(k.imag)
+        lo = max(k.real - 40.0 * width, k_lo)
+        hi = min(k.real + 40.0 * width, k_max)
+        if width < 4.0 * k_lo and hi - lo > n_k * np.spacing(hi):
+            windows.append([lo, hi, width])
     if not windows:
         return np.linspace(k_lo, k_max, n_k)
     windows.sort()
     merged: list[list[float]] = []
-    for lo, hi, wd in windows:
-        if merged and lo <= merged[-1][1]:
+    for lo, hi, width in windows:
+        if merged and lo - merged[-1][1] <= n_k * np.spacing(lo):
             merged[-1][1] = max(hi, merged[-1][1])
-            merged[-1][2] = min(wd, merged[-1][2])
+            merged[-1][2] = min(width, merged[-1][2])
         else:
-            merged.append([lo, hi, wd])
-    # windows share half the budget with at least 16 nodes each: only the narrowest
-    # n_k // 32 fit, and the trim below would take the rest out of the narrowest ones
-    if len(merged) > n_k // 32:
-        merged = sorted(sorted(merged, key=lambda w: w[2])[:n_k // 32])
+            merged.append([lo, hi, width])
+    kept = sorted(sorted(merged, key=lambda w: w[2])[:n_k // 32])
+    if kept[0][0] - k_lo <= n_k * np.spacing(kept[0][0]):
+        kept[0][0] = k_lo
+    if k_max - kept[-1][1] <= n_k * np.spacing(k_max):
+        kept[-1][1] = k_max
 
-    budget = n_k // 2
-    inv = np.array([1.0 / wd for _, _, wd in merged])
-    counts = np.maximum(16, (budget * inv / inv.sum()).astype(int))
-    pieces = []
-    cursor = k_lo
-    gaps = []
-    for (lo, hi, _), cnt in zip(merged, counts):
-        if lo > cursor:
-            gaps.append((cursor, lo))
-        pieces.append(np.linspace(lo, hi, int(cnt), endpoint=False))
-        cursor = max(cursor, hi)
-    if cursor < k_max:
-        gaps.append((cursor, k_max))
-    n_bg = max(n_k - int(counts.sum()), 2 * len(gaps))
-    total_gap = sum(hi - lo for lo, hi in gaps)
-    for lo, hi in gaps:
-        cnt = max(2, int(round(n_bg * (hi - lo) / total_gap)))
-        pieces.append(np.linspace(lo, hi, cnt, endpoint=False))
-    grid = np.unique(np.concatenate(pieces + [np.array([k_max])]))
-    # rounding in the segment counts can miss the budget by a few nodes;
-    # trim the tightest spacings / fill the widest gaps until exact
-    while grid.size > n_k:
-        gaps_now = np.diff(grid)
-        grid = np.delete(grid, int(np.argmin(gaps_now)) + 1)
-    while grid.size < n_k:
-        gaps_now = np.diff(grid)
-        i = int(np.argmax(gaps_now))
-        grid = np.insert(grid, i + 1, 0.5 * (grid[i] + grid[i + 1]))
-    return grid
+    # segments alternate gap and window; only an end gap can be empty, and it gets no node
+    edges = np.array([k_lo, *(edge for lo, hi, _ in kept for edge in (lo, hi)), k_max])
+    window = np.arange(edges.size - 1) % 2 == 1
+    widths = np.array([width for _, _, width in kept])
+    inverse_width = np.zeros(window.size)
+    inverse_width[window] = widths.min() / widths
+    gap_length = np.where(window, 0.0, np.diff(edges))
+    share = inverse_width / inverse_width.sum() + gap_length / (gap_length.sum() or 1.0)
+    segment = window | (gap_length > 0)
+    minimum = np.where(window, 16, 2)[segment]
+    spare = n_k - 1 - int(minimum.sum())
+    steps = minimum + np.diff(np.round(spare * np.cumsum(share[segment]) / share.sum()), prepend=0.0)
+    return np.interp(np.arange(n_k), np.append(0.0, np.cumsum(steps)),
+                     np.append(edges[:-1][segment], k_max))
 
 
 def _check_grid(model: DeltaShellModel, k_max: float, n_k: int, r_max: float, n_r: int) -> None:

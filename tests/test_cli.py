@@ -18,6 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import golden_values
 from gamow import cli, dynamics, reps, scattering, spectral
@@ -63,6 +64,17 @@ class TestParsing:
             parse_args(["evolve", "--law", "d0", "--er", "nan", "--gamma", "0.1",
                         "--t0", "0", "--t1", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--t0", "--t1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_time_is_usage_error(self, capsys, flag, value):
+        # so the span check in evolve only ever sees finite ends
+        argv = {"--t0": "0", "--t1": "1", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["evolve", "--law=d0", "--er=10", "--gamma=0.1"]
+                       + [f"{k}={v}" for k, v in argv.items()])
+        assert exc.value.code == 2
+        assert f"argument {flag}: number must be finite, got '{value}'" in capsys.readouterr().err
 
     def test_domain_violation_parses_fine(self):
         # half-domain enforcement happens at execution time, not parse time
@@ -182,6 +194,74 @@ class TestErrorMessages:
                                    "--packet", "gaussian:2,0.4"])) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and "nan" not in captured.out
+
+    def test_very_strong_shell_reconstructs(self, capsys):
+        # its narrow windows cannot hold n_k floats each, so the grid stays uniform; when the
+        # windows were forced in, the relative error printed was 17685833.0823
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(["spectral", "--g", "1e8", "--a", "1",
+                                   "--packet", "gaussian:2,0.4"])) == 0
+        captured = capsys.readouterr()
+        error = float(captured.out.split("relative L2 reconstruction error = ")[1].split()[0])
+        assert captured.err == "" and error < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--er=1e308", "--gamma=1e-300", "--t1=1e308"],
+        ["--er=10", "--gamma=0.1", "--t1=1.7e308"],
+    ], ids=["huge-energy", "huge-time"])
+    def test_overflowing_phase_under_a_vanishing_modulus_is_zero(self, capsys, argv):
+        # E_R t overflowed to inf where e^{-Gamma t / 2} is 0: NaN rows and an invalid-value
+        # RuntimeWarning, with exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(["evolve", "--law=d0", "--t0=0", "--n=3"] + argv)) == 0
+        captured = capsys.readouterr()
+        t = argv[2].split("=")[1]
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "0,1,-0,1", f"{float(t) / 2:g},0,0,0", f"{float(t):g},0,0,0"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--er=1e308", "--gamma=5e-324", "--t0=0", "--t1=1e308"],
+         "E_R t overflows at t = 5e+307 with E_R = 1e+308, so the amplitude's phase is undefined"),
+        (["--er=0", "--gamma=5e-324", "--t0=1.7e308", "--t1=-1.7e308"],
+         "time span t1 - t0 = -1.7e+308 - 1.7e+308 overflows"),
+    ], ids=["phase-overflow", "span-overflow"])
+    def test_evolve_overflow_exits_one_with_one_line(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(["evolve", "--law=d0", "--n=3"] + argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_single_sample_ignores_the_span(self, capsys):
+        # with --n 1 only t0 is sampled, so a t1 - t0 that overflows is no error
+        assert run(parse_args(["evolve", "--law=d0", "--er=10", "--gamma=0.1", "--t0=1.7e308",
+                               "--t1=-1.7e308", "--n=1"])) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.splitlines()[1:] == ["1.7e+308,0,0,0"]
+
+    _EXTREMES = st.sampled_from(
+        [sign * value for value in (0.0, 5e-324, 1e-300, 1e300, 1.7e308) for sign in (1.0, -1.0)])
+
+    @settings(max_examples=400, derandomize=True)
+    @given(er=_EXTREMES, gamma=_EXTREMES, t0=_EXTREMES, t1=_EXTREMES, n=st.integers(0, 3),
+           law=st.sampled_from(["g0", "d0", "g1", "d1"]))
+    def test_evolve_numeric_flags_exit_cleanly(self, er, gamma, t0, t1, n, law):
+        # --flag=value, since argparse reads "--er -1e308" as an option and exits 2
+        argv = ["evolve", f"--er={er!r}", f"--gamma={gamma!r}", f"--law={law}",
+                f"--t0={t0!r}", f"--t1={t1!r}", f"--n={n}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run(parse_args(argv))
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [] and "nan" not in out.getvalue()
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("argv, sha256", [
         (["phase", "--g", "100", "--a", "1", "--emin", "1e-320", "--emax", "1e308", "--n", "4"],

@@ -240,6 +240,14 @@ class TestBranchPoles:
         assert got.size == 3 and got[-1].real < 9.4
         assert scattering._branch_poles(STRONG, 0.5 * np.pi).size == 0
 
+    @pytest.mark.parametrize("re_min", [0.0, 4.0, 9.4, 9.4 + np.pi, 29.0])
+    def test_re_min_starts_at_its_branch(self, re_min):
+        # the same floats as the full range, cut at re_min
+        full = scattering._branch_poles(STRONG, 30.0)
+        got = scattering._branch_poles(STRONG, 30.0, re_min)
+        assert got.size < full.size or re_min == 0.0
+        assert np.array_equal(got, full[full.real >= re_min])
+
     def test_unconverged_branch_raises(self, monkeypatch):
         monkeypatch.setattr(scattering, "_HALLEY_MAX_STEPS", 1)
         with pytest.raises(RuntimeError, match="did not converge in 1 Halley steps"):
@@ -530,6 +538,21 @@ class TestBreitWigner:
     def test_two_resonance_window_rejected(self):
         with pytest.raises(ResonanceFitError):
             breit_wigner_fit(STRONG, (5.0, 45.0))
+
+    @pytest.mark.parametrize("e_hi", [1e20, np.inf])
+    def test_window_past_the_branch_budget_rejected(self, e_hi):
+        # its poles would be counted among about 3.2e9 branches at a = 1
+        with pytest.raises(ValueError, match="more than the 65536 resonance branches"):
+            breit_wigner_fit(STRONG, (1.0, e_hi))
+
+    def test_high_window_computes_only_its_branches(self):
+        # branch 101859 of g = 1e8: past 65536 branches from Re k = 0, but its window
+        # spans about 4000
+        model = DeltaShellModel(g=1e8, a=1.0)
+        k = complex(scattering._branch_poles(model, 3.2e5 + 3.0, 3.2e5)[0])
+        e_r, gamma = (k * k).real, -2.0 * (k * k).imag
+        er, gam = breit_wigner_fit(model, (e_r - 3 * gamma, e_r + 3 * gamma))
+        assert abs(er - e_r) < 0.05 * gamma and abs(gam - gamma) < 0.01 * gamma
 
 
 class TestModelValidation:

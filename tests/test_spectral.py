@@ -11,7 +11,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gamow import scattering
 from gamow.scattering import DeltaShellModel, bound_states
@@ -185,6 +185,34 @@ class TestKGridPoles:
             assert grid.size == self.N_K and np.all(np.diff(grid) > 0)
         # every `spectral` golden uses g = -5, a = 1
         assert np.array_equal(_adaptive_k_grid(ATTRACTIVE, self.K_MAX, self.N_K), uniform)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(log_ga=st.floats(-1.0, 12.0), sign=st.sampled_from([1.0, -1.0]),
+           a=st.floats(0.3, 3.0), k_max=st.floats(0.1, 3000.0),
+           n_k=st.sampled_from([64, 65, 2000, 20000]))
+    def test_node_map_holds_the_budget_and_covers_each_kept_pole(self, log_ga, sign, a, k_max,
+                                                                  n_k):
+        model = DeltaShellModel(g=sign * 10.0**log_ga / a, a=a)
+        grid = _adaptive_k_grid(model, k_max, n_k)
+        k_lo = k_max / n_k
+        assert grid.size == n_k and np.all(np.diff(grid) > 0)
+        assert grid[0] == k_lo and grid[-1] == k_max
+        # the windows of narrow poles that hold n_k floats; the narrowest n_k // 32 are kept
+        poles = spectral._branch_poles(model, min(k_max, n_k * np.pi / a))
+        width, centre = np.abs(poles.imag), poles.real
+        lo = np.maximum(centre - 40.0 * width, k_lo)
+        hi = np.minimum(centre + 40.0 * width, k_max)
+        fits = (width < 4.0 * k_lo) & (hi - lo > n_k * np.spacing(hi))
+        width, centre, lo, hi = width[fits], centre[fits], lo[fits], hi[fits]
+        order = np.argsort(lo)
+        reach = np.maximum.accumulate(hi[order])
+        alone = np.ones(lo.size, dtype=bool)
+        alone[order[1:]] &= lo[order[1:]] > reach[:-1]
+        alone[order[:-1]] &= hi[order[:-1]] < lo[order[1:]]
+        # a window that merges with none gets at least 16 nodes over at most 80 |Im k|
+        for i in np.argsort(width)[:n_k // 32]:
+            if alone[i] and k_lo <= centre[i]:
+                assert np.min(np.abs(grid - centre[i])) <= 2.5 * width[i] * (1.0 + 1e-9)
 
     def test_only_the_narrowest_windows_that_fit_are_kept(self):
         # g = 1e6 puts 954 separate narrow poles below k = 3000; 2000 // 32 = 62 windows fit
