@@ -2,9 +2,10 @@
 
 The shell V(r) = g delta(r - 1) with g = 100 is almost impenetrable, so the
 interior supports long-lived quasi-bound states: S-matrix poles just below
-the real k axis near k = n pi.  We locate them with Newton iteration, count
-them independently with the argument principle, watch the phase shift jump
-by pi across each one, and check the Breit-Wigner fit against the pole.
+the real k axis near k = n pi.  We take them from the closed-form Lambert-W
+branches, count them independently with the argument principle, watch the
+phase shift jump by pi across each one, and check the Breit-Wigner fit
+against the pole.
 """
 
 import numpy as np

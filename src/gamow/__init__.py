@@ -6,8 +6,8 @@ continues analytically in closed form:
 * ``reps``: the four co-representations of the inversion-extended Galilei
   group (parity, antilinear time reversal, total inversion) with exact
   integer group-relation checks;
-* ``scattering``: the S-matrix, phase shifts, resonance-pole search
-  (Newton + argument principle), bound states and Breit-Wigner fits;
+* ``scattering``: the S-matrix, phase shifts, closed-form resonance poles
+  (and their argument-principle count), bound states and Breit-Wigner fits;
 * ``dynamics``: the four half-domain semigroup evolution laws of growing
   and decaying Gamow amplitudes, in the laboratory (r=0) and time-reversed
   (r=1) regimes, as one array function ``amplitude(law, pole, t)``, with

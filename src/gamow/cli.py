@@ -21,7 +21,6 @@ __all__ = ["parse_args", "run", "main"]
 
 # float64 arrays of the grid's size each subcommand holds per grid point: its
 # tracemalloc peak at 2^14 points (json output, the largest) plus one, rounded up
-_POLES_WORK_ARRAYS = 22
 _PHASE_WORK_ARRAYS = 134
 _EVOLVE_WORK_ARRAYS = 164
 # per entry of the row's largest operator: row one's json peak at twice_j = 100
@@ -85,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--re", type=_pair, required=True, metavar="MIN,MAX")
     p.add_argument("--im", type=_pair, required=True, metavar="MIN,MAX")
-    p.add_argument("--seeds", type=int, nargs=2, default=(48, 24), metavar=("NRE", "NIM"))
     add_common(p)
 
     p = sub.add_parser("phase", help="phase shift and sin^2(delta) on an energy grid")
@@ -200,8 +198,7 @@ def _run_reps(args) -> None:
 
 def _run_poles(args) -> None:
     model = scattering.DeltaShellModel(g=args.g, a=args.a)
-    spectral._check_work_budget(args.seeds, _POLES_WORK_ARRAYS, "seeds")
-    region = scattering.SearchRegion(*args.re, *args.im, n_re=args.seeds[0], n_im=args.seeds[1])
+    region = scattering.SearchRegion(*args.re, *args.im)
     poles = scattering.find_poles(model, region)
     rows = (
         [_fmt(x) for x in (pole.k_pole.real, pole.k_pole.imag, pole.e_r, pole.gamma,
@@ -218,6 +215,8 @@ def _run_phase(args) -> None:
     model = scattering.DeltaShellModel(g=args.g, a=args.a)
     if args.n < 2:
         raise ValueError("need at least 2 grid points")
+    if not math.isfinite(args.emax - args.emin):  # the ends are finite (_finite)
+        raise ValueError(f"energy span emax - emin = {args.emax} - {args.emin} overflows")
     spectral._check_work_budget((args.n,), _PHASE_WORK_ARRAYS, "energy points")
     energies = np.linspace(args.emin, args.emax, args.n)
     delta = scattering.phase_shift_curve(model, energies)

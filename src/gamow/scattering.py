@@ -19,7 +19,7 @@ kappa = |g| (1 - e^{-2 kappa a}) / 2.
 With w = g a - 2ika, D(k) = 0 reads w e^w = g a e^{g a}, so every zero is a
 branch of the Lambert W function, k_n = (i/2a) (W_n(g a e^{g a}) - g a)
 (Corless, Gonnet, Hare, Jeffrey and Knuth, Adv. Comput. Math. 5, 1996);
-_branch_poles computes the fourth-quadrant ones in closed form.
+_branch_poles computes the fourth-quadrant ones, and find_poles a rectangle's.
 
 For real k the numerator is the complex conjugate of D, so |S| = 1 exactly
 (unitarity), and S(-k) S(k) = 1.  Zeros of S sit at the conjugates of its
@@ -62,7 +62,7 @@ IM_KA_BOUND = 700.0
 _NEWTON_MAX_STEPS = 50
 _NEWTON_STEP_SCALE = 1e-7
 _NEWTON_CONVERGED = 1e-12
-_DEDUP_SEPARATION = 1e-6
+_MATCH_SEPARATION = 1e-6
 _RESIDUAL_FACTOR = 1e-10
 # Seeds per batched Newton pass; bounds the working arrays for any seed grid.
 _SEED_CHUNK = 4096
@@ -71,8 +71,8 @@ _SEED_CHUNK = 4096
 # most 3 steps over |g a| in [1e-8, 3e5] (405 seeded models, 63 branches each).
 _HALLEY_MAX_STEPS = 16
 _HALLEY_CONVERGED = 1e-10
-# Branches breit_wigner_fit may compute to count a window's poles (one per pi / a of Re k).
-_FIT_MAX_BRANCHES = 1 << 16
+# Branches find_poles and breit_wigner_fit may compute (one per pi / a of Re k).
+_MAX_BRANCHES = 1 << 16
 
 
 class PoleOnContourError(RuntimeError):
@@ -150,8 +150,9 @@ class SearchRegion:
             complex(self.re_min, self.im_max),
         )
 
-    def contains(self, k: complex) -> bool:
-        return self.re_min < k.real < self.re_max and self.im_min < k.imag < self.im_max
+    def contains(self, k):
+        return ((self.re_min < k.real) & (k.real < self.re_max)
+                & (self.im_min < k.imag) & (k.imag < self.im_max))
 
 
 def _g_sinc(model: DeltaShellModel, k):
@@ -234,6 +235,7 @@ def phase_shift_curve(model: DeltaShellModel, energies) -> np.ndarray:
     value (a cumulative sum of rounded jumps).  Precondition: adjacent samples
     must be closer together than the narrowest resonance they cross.  A
     coarser grid can step over a resonance's rise by pi and silently lose it.
+    Raises ValueError where k a or (g/k) sin ka overflows float64.
     """
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or e.size < 1:
@@ -241,7 +243,11 @@ def phase_shift_curve(model: DeltaShellModel, energies) -> np.ndarray:
     ok = np.isfinite(e) & (e > 0)
     if not np.all(ok):
         raise ValueError(f"phase shift requires finite E > 0, got E = {e[~ok][0]}")
-    theta = np.angle(_jost(model, np.sqrt(e)))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            theta = np.angle(_jost(model, np.sqrt(e)))
+    except FloatingPointError:
+        raise ValueError(f"k a or (g/k) sin ka overflows on E in [{e[0]:g}, {e[-1]:g}]") from None
     raw = theta - np.pi * np.round(theta / np.pi)
     out = raw.copy()
     out[1:] += np.pi * np.cumsum(np.round((raw[:-1] - raw[1:]) / np.pi))
@@ -306,51 +312,48 @@ def _newton_zeros(model: DeltaShellModel, seeds: np.ndarray) -> np.ndarray:
 
 
 def find_poles(model: DeltaShellModel, region: SearchRegion) -> list[ResonancePole]:
-    """All resonance poles in a fourth-quadrant rectangle of the k plane.
+    """All resonance poles in a fourth-quadrant rectangle of the k plane, ascending in Re k.
 
-    Seeds an n_re x n_im grid over the region and polishes all seeds as one
-    array Newton iteration on D(k), _SEED_CHUNK seeds at a time.  Converged
-    zeros that fall inside the region with |D| below 1e-10 times the local
-    term scale are kept and deduplicated in row-major seed order (separation
-    1e-6, the smaller |D| wins).  A zero with Re k <= 1e-12 (1 + |k|), below
-    what the iteration resolves, is the virtual state of -1 < g a < 0 on the
-    imaginary axis and is not kept.  Non-convergent seeds are dropped
-    silently; an empty result is valid.
+    They are the branches of _branch_poles in the open rectangle and within IM_KA_BOUND
+    (every zero of D with Re k > 0 > Im k is one; k = 0 and the bound and virtual states
+    are none).  Their digits come from the n_re x n_im seeds, polished by one array Newton
+    iteration on D(k), _SEED_CHUNK at a time: a branch takes, of the endpoints inside,
+    within 1e-6 of it and with |D| below 1e-10 of the term scale, the first of least |D|
+    in row-major seed order, else keeps its own value.  A rectangle of more than
+    _MAX_BRANCHES branches (one per pi / a of Re k), or reaching a Re k / pi = 2^52, where
+    float64 no longer resolves them, raises ValueError before allocating.
     """
     if not (region.re_min >= 0 and region.im_max <= 0):
         raise ValueError("pole search region must lie in Re k >= 0, Im k <= 0")
+    if not (region.re_max - region.re_min) * model.a / math.pi <= _MAX_BRANCHES:
+        raise ValueError(f"region spans over {_MAX_BRANCHES} resonance branches (each pi / a wide)")
+    if not region.re_max * model.a / math.pi < 2.0**52:
+        raise ValueError(f"region reaches Re k = {region.re_max:g}, where a Re k / pi >= 2^52 and "
+                         "float64 cannot tell the resonance branches apart")
+    inside = lambda k: k[region.contains(k) & (np.abs(k.imag) * model.a <= IM_KA_BOUND)]
+    poles = inside(_branch_poles(model, region.re_max, region.re_min))
+    if not poles.size:
+        return []
     grid = np.empty((region.n_re, region.n_im), dtype=complex)
     grid.real = np.linspace(region.re_min, region.re_max, region.n_re)[:, None]
     grid.imag = np.linspace(region.im_min, region.im_max, region.n_im)[None, :]
-    seeds = grid.ravel()
-    seeds = seeds[np.hypot(seeds.real, seeds.imag) >= 1e-9]
+    seeds = grid[np.hypot(grid.real, grid.imag) >= 1e-9]
     ends = np.empty_like(seeds)
     for i in range(0, seeds.size, _SEED_CHUNK):
         ends[i:i + _SEED_CHUNK] = _newton_zeros(model, seeds[i:i + _SEED_CHUNK])
-    # Re k at or below Newton's resolution is zero: a virtual state, not a resonance
-    inside = (
-        (region.re_min < ends.real) & (ends.real < region.re_max)
-        & (region.im_min < ends.imag) & (ends.imag < region.im_max)
-        & (ends.real > _NEWTON_CONVERGED * (1.0 + np.hypot(ends.real, ends.imag)))
-        & (ends.imag < 0)
-    )
-    ends = ends[inside]
-    d = denominator(model, ends)
-    resid = np.hypot(d.real, d.imag)
-    zero = ~(resid > _RESIDUAL_FACTOR * _term_scale(model, ends))
-    found: list[complex] = []
-    found_resid: list[float] = []
-    for k, r in zip(ends[zero].tolist(), resid[zero].tolist()):
-        for i, p in enumerate(found):
-            if abs(k - p) <= _DEDUP_SEPARATION:
-                if r < found_resid[i]:
-                    found[i], found_resid[i] = k, r
-                break
-        else:
-            found.append(k)
-            found_resid.append(r)
-    found.sort(key=lambda z: z.real)
-    return [ResonancePole.from_momentum(k) for k in found]
+    ends = inside(ends)
+    resid = np.abs(denominator(model, ends))
+    # each endpoint against the nearer of the two branches beside it in Re k
+    above = np.minimum(np.searchsorted(poles.real, ends.real), poles.size - 1)
+    below = np.maximum(above - 1, 0)
+    near = np.where(np.abs(ends - poles[below]) <= np.abs(ends - poles[above]), below, above)
+    hit = np.flatnonzero((resid <= _RESIDUAL_FACTOR * _term_scale(model, ends))
+                         & (np.abs(ends - poles[near]) <= _MATCH_SEPARATION))
+    # per branch the least |D|, the first in seed order on a tie (lexsort is stable)
+    hit = hit[np.lexsort((resid[hit], near[hit]))]
+    _, first = np.unique(near[hit], return_index=True)
+    poles[near[hit[first]]] = ends[hit[first]]
+    return [ResonancePole.from_momentum(k) for k in poles.tolist()]
 
 
 def _log_one_plus(u: np.ndarray, ga: float) -> np.ndarray:
@@ -532,16 +535,16 @@ def breit_wigner_fit(
     branches within 2 % of the window's Re k are computed);
     sin^2(delta) is sampled at 400 energies and the fitted (E_R, Gamma) are
     returned.  Raises ValueError when that Re k range spans more than
-    _FIT_MAX_BRANCHES branches, ResonanceFitError when the window holds zero
+    _MAX_BRANCHES branches, ResonanceFitError when the window holds zero
     or several resonances or when the fit rms residual exceeds 0.05.
     """
     e_lo, e_hi = window
     if not (0 < e_lo < e_hi):
         raise ValueError(f"window must satisfy 0 < e_lo < e_hi, got {window}")
     re_min, re_max = 0.98 * math.sqrt(e_lo), 1.02 * math.sqrt(e_hi)
-    if (re_max - re_min) * model.a / math.pi > _FIT_MAX_BRANCHES:
+    if (re_max - re_min) * model.a / math.pi > _MAX_BRANCHES:
         raise ValueError(f"window {window} spans Re k {re_min:.6g} to {re_max:.6g}, more than "
-                         f"the {_FIT_MAX_BRANCHES} resonance branches a fit may search")
+                         f"the {_MAX_BRANCHES} resonance branches a fit may search")
     poles = _branch_poles(model, re_max, re_min)
     e_r = (poles * poles).real
     in_window = np.count_nonzero((e_lo <= e_r) & (e_r <= e_hi)

@@ -497,7 +497,10 @@ def _check_grid(model: DeltaShellModel, k_max: float, n_k: int, r_max: float, n_
     check_grid_budget(n_k, n_r)
     if r_max <= 2 * model.a:
         raise ValueError("r_max must exceed the shell radius comfortably (r_max > 2a)")
-    n, dk, _, taps = _lattice(n_r, r_max / (n_r - 1))
+    try:
+        n, dk, _, taps = _lattice(n_r, r_max / (n_r - 1))
+    except (ArithmeticError, ValueError):  # a period or its square out of float64's range
+        raise ValueError(f"r_max = {r_max:g} is out of the continuum lattice's range") from None
     span = k_max / dk + taps + 2
     work = _FFT_WORK_ARRAYS * n + (taps + 16) * n_k + (_BLOCK_ROWS + 16) * span
     if not work <= MAX_GRID_ELEMENTS:  # also false for an infinite or NaN k_max
@@ -774,9 +777,9 @@ def windowed_resonance_samples(
     np.divide(envelope, spread, out=envelope)
     np.exp(envelope, out=envelope)
     samples = np.subtract(e, complex(e_r, -0.5 * gamma))
-    # |f| peaks near 2 / gamma, which overflows for gamma near the float minimum
+    # |f| peaks near 2 / gamma: it overflows, or divides by 0, for gamma near the float minimum
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             return e, np.divide(envelope, samples, out=samples)
     except FloatingPointError:
         raise ValueError("samples must be finite") from None

@@ -249,7 +249,7 @@ def test_c12_cli_contract():
             ),
             "poles": (
                 ["poles", "--g", "100", "--a", "1", "--re", "2,4", "--im=-0.5,-1e-9",
-                 "--seeds", "12", "6", "--format", "json"],
+                 "--format", "json"],
                 ["poles", "--g", "100", "--a", "1", "--re", "2,4", "--im", "0.5,1"],
                 ["poles", "--g", "100", "--a", "1", "--re", "2,4"],
             ),

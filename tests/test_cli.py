@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_values
+from oracles import mp_lambert_poles
 from gamow import cli, dynamics, reps, scattering, spectral
 from gamow.cli import parse_args, run
 
@@ -235,6 +236,40 @@ class TestErrorMessages:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    def test_phase_span_overflow_exits_one_with_one_line(self, capsys):
+        # np.linspace printed overflow and invalid-value warnings, then E = nan was rejected
+        argv = ["phase", "--g=1", "--a=1e300", "--emin=-1.7e308", "--emax=1.7e308", "--n=3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: energy span emax - emin = 1.7e+308 - -1.7e+308 overflows\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["phase", "--g=1.7e308", "--a=1e300", "--emin=1.7e308", "--emax=1.7e308", "--n=3"],
+         "k a or (g/k) sin ka overflows on E in [1.7e+308, 1.7e+308]"),
+        (["phase", "--g=-1.7e308", "--a=1e300", "--emin=5e-324", "--emax=1", "--n=3"],
+         "k a or (g/k) sin ka overflows on E in [4.94066e-324, 1]"),
+        (["hardy", "--pole=0,5e-324", "--emin=-1", "--emax=1", "--n=16"],
+         "samples must be finite"),
+        *[(["spectral", "--g=1", "--a=5e-324", "--kmax=1", f"--rmax={r_max}", "--nk=8", "--nr=5",
+            "--packet=gaussian:1,1"],
+           f"r_max = {float(r_max):g} is out of the continuum lattice's range")
+          for r_max in ("1.7e308", "1e-153", "1e-300")],
+    ], ids=["phase-ka-overflow", "phase-g-over-k-overflow", "hardy-zero-divide",
+            "spectral-period-overflow", "spectral-alpha-overflow", "spectral-period-underflow"])
+    def test_sweep_finds_exit_one_with_one_line(self, capsys, argv, message):
+        # found by the sweeps below: the first phase printed nan rows with exit 0, the second
+        # numpy's overflow warnings; hardy warned of a division by zero before its error line;
+        # spectral printed "cannot convert float NaN to integer" and "... infinity to integer"
+        # from the lattice's taps, or ended in its ZeroDivisionError traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(parse_args(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_single_sample_ignores_the_span(self, capsys):
         # with --n 1 only t0 is sampled, so a t1 - t0 that overflows is no error
         assert run(parse_args(["evolve", "--law=d0", "--er=10", "--gamma=0.1", "--t0=1.7e308",
@@ -242,16 +277,16 @@ class TestErrorMessages:
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out.splitlines()[1:] == ["1.7e+308,0,0,0"]
 
-    _EXTREMES = st.sampled_from(
-        [sign * value for value in (0.0, 5e-324, 1e-300, 1e300, 1.7e308) for sign in (1.0, -1.0)])
+    _CORPUS = [sign * value for value in (0.0, 5e-324, 1e-300, 1e300, 1.7e308)
+               for sign in (1.0, -1.0)]
+    _EXTREMES = st.sampled_from(_CORPUS)
+    _FLAGS = st.sampled_from(_CORPUS + [1.0, -1.0])
 
-    @settings(max_examples=400, derandomize=True)
-    @given(er=_EXTREMES, gamma=_EXTREMES, t0=_EXTREMES, t1=_EXTREMES, n=st.integers(0, 3),
-           law=st.sampled_from(["g0", "d0", "g1", "d1"]))
-    def test_evolve_numeric_flags_exit_cleanly(self, er, gamma, t0, t1, n, law):
+    @staticmethod
+    def _exits_cleanly(argv):
+        """Exit 0 with no nan and nothing on stderr, or exit 1 with one error line; a warning
+        (raised as an error) or any other exception fails."""
         # --flag=value, since argparse reads "--er -1e308" as an option and exits 2
-        argv = ["evolve", f"--er={er!r}", f"--gamma={gamma!r}", f"--law={law}",
-                f"--t0={t0!r}", f"--t1={t1!r}", f"--n={n}"]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
@@ -262,6 +297,52 @@ class TestErrorMessages:
             assert lines == [] and "nan" not in out.getvalue()
         else:
             assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+
+    @settings(max_examples=400, derandomize=True)
+    @given(er=_EXTREMES, gamma=_EXTREMES, t0=_EXTREMES, t1=_EXTREMES, n=st.integers(0, 3),
+           law=st.sampled_from(["g0", "d0", "g1", "d1"]))
+    def test_evolve_numeric_flags_exit_cleanly(self, er, gamma, t0, t1, n, law):
+        self._exits_cleanly(["evolve", f"--er={er!r}", f"--gamma={gamma!r}", f"--law={law}",
+                             f"--t0={t0!r}", f"--t1={t1!r}", f"--n={n}"])
+
+    @settings(max_examples=300, derandomize=True)
+    @given(g=_FLAGS, a=_FLAGS, emin=_FLAGS, emax=_FLAGS)
+    def test_phase_numeric_flags_exit_cleanly(self, g, a, emin, emax):
+        self._exits_cleanly(["phase", f"--g={g!r}", f"--a={a!r}", f"--emin={emin!r}",
+                             f"--emax={emax!r}", "--n=3"])
+
+    @settings(max_examples=300, derandomize=True)
+    @given(e_r=_FLAGS, gamma=_FLAGS, window=st.none() | st.tuples(_FLAGS, _FLAGS))
+    def test_hardy_numeric_flags_exit_cleanly(self, e_r, gamma, window):
+        emin_emax = [] if window is None else [f"--emin={window[0]!r}", f"--emax={window[1]!r}"]
+        self._exits_cleanly(["hardy", f"--pole={e_r!r},{gamma!r}", *emin_emax, "--n=16"])
+
+    @settings(max_examples=300, derandomize=True)
+    @given(g=_FLAGS, a=_FLAGS, re=st.tuples(_FLAGS, _FLAGS), im=st.tuples(_FLAGS, _FLAGS))
+    def test_poles_numeric_flags_exit_cleanly(self, g, a, re, im):
+        # on the default seed grid; a region over the branch cap must exit 1
+        self._exits_cleanly(["poles", f"--g={g!r}", f"--a={a!r}", f"--re={re[0]!r},{re[1]!r}",
+                             f"--im={im[0]!r},{im[1]!r}"])
+
+    @settings(max_examples=300, derandomize=True)
+    @given(g=_FLAGS, a=_FLAGS, kmax=_FLAGS, rmax=_FLAGS, center=_FLAGS, width=_FLAGS)
+    def test_spectral_numeric_flags_exit_cleanly(self, g, a, kmax, rmax, center, width):
+        self._exits_cleanly(["spectral", f"--g={g!r}", f"--a={a!r}", f"--kmax={kmax!r}",
+                             f"--rmax={rmax!r}", "--nk=8", "--nr=5",
+                             f"--packet=gaussian:{center!r},{width!r}"])
+
+    def test_poles_region_over_the_branch_cap_rejected_before_allocation(self, capsys,
+                                                                        monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("branches or seeds allocated for an over-cap region")
+
+        monkeypatch.setattr(scattering, "_branch_poles", unreachable)
+        monkeypatch.setattr(scattering.np, "linspace", unreachable)
+        assert run(parse_args(["poles", "--g=100", "--a=1", "--re=0,1e6", "--im=-3,0"])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: region spans over 65536 resonance branches (each pi / a "
+                                "wide)\n")
 
     @pytest.mark.parametrize("argv, sha256", [
         (["phase", "--g", "100", "--a", "1", "--emin", "1e-320", "--emax", "1e308", "--n", "4"],
@@ -350,16 +431,14 @@ class TestErrorMessages:
         # the default grid's matrix would be 2000 x 4001 float64 elements (64 MB)
         assert peak <= 0.1 * 2000 * 4001 * 8
 
-    # phase and evolve allocate their grid with np.linspace in the CLI, poles its seeds in
-    # find_poles; the first size fails the grid budget itself, the second only its charge
+    # phase and evolve allocate their grid with np.linspace in the CLI; the first size fails
+    # the grid budget itself, the second only its charge
     GRID_PATHS = {
         "phase": (["phase", "--g", "100", "--a", "1", "--emin", "1", "--emax", "100", "--n"],
                   cli._PHASE_WORK_ARRAYS, "energy points", (np, "linspace")),
         "evolve": (["evolve", "--er", "9.675", "--gamma", "0.0119", "--law", "d0", "--t0", "0",
                     "--t1", "500", "--n"], cli._EVOLVE_WORK_ARRAYS, "time samples",
                    (np, "linspace")),
-        "poles": (["poles", "--g", "100", "--a", "1", "--re", "0,20", "--im=-3,0", "--seeds"],
-                  cli._POLES_WORK_ARRAYS, "seeds", (scattering, "find_poles")),
     }
 
     @pytest.mark.parametrize("over", ["grid", "work"])
@@ -372,15 +451,14 @@ class TestErrorMessages:
         argv, arrays, what, allocator = self.GRID_PATHS[path]
         monkeypatch.setattr(*allocator, unreachable)
         if over == "grid":
-            sizes = ["1048576", "1048576"] if path == "poles" else ["1099511627776"]
-            expected = (f"grid of {' x '.join(sizes)} points exceeds the budget of 134217728 "
-                        "float64 elements (1 GiB)")
+            n = 1099511627776
+            expected = (f"grid of {n} points exceeds the budget of 134217728 float64 elements "
+                        "(1 GiB)")
         else:
-            n = spectral.MAX_GRID_ELEMENTS // (2 * arrays if path == "poles" else arrays) + 1
-            sizes = ["2", str(n)] if path == "poles" else [str(n)]
-            expected = (f"{' x '.join(sizes)} {what} need about {arrays} work arrays of that "
-                        "size, over the budget of 134217728 float64 elements (1 GiB)")
-        assert run(parse_args(argv + sizes)) == 1
+            n = spectral.MAX_GRID_ELEMENTS // arrays + 1
+            expected = (f"{n} {what} need about {arrays} work arrays of that size, over the "
+                        "budget of 134217728 float64 elements (1 GiB)")
+        assert run(parse_args(argv + [str(n)])) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("row, factor", [(1, 1), (2, 2)])
@@ -447,8 +525,7 @@ class TestErrorMessages:
         # a real stdout encodes the output as the null device does
         argv, arrays, _, _ = self.GRID_PATHS[path]
         n = 2**14
-        sizes = ["128", "128"] if path == "poles" else [str(n)]
-        args = parse_args(argv + sizes + ["--format", fmt])
+        args = parse_args(argv + [str(n), "--format", fmt])
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
@@ -545,12 +622,34 @@ class TestPolesOutput:
     @pytest.mark.parametrize("g", ["-1", "-0.9"])
     def test_virtual_state_is_not_a_resonance(self, capsys, g):
         # for -1 <= g a < 0, Newton also lands on the virtual state on the negative
-        # imaginary axis (or k = 0 at g a = -1); its Re k of 1e-42 is rounding
+        # imaginary axis (or k = 0 at g a = -1), which is no Lambert branch of m >= 1
         argv = ["poles", f"--g={g}", "--a", "1", "--re", "0,5", "--im=-3,0", "--format", "json"]
         assert run(parse_args(argv)) == 0
         poles = json.loads(capsys.readouterr().out)["poles"]
         assert [round(p["re_k"], 4) for p in poles] == [3.7307 if g == "-1" else 3.7304]
         assert poles[0]["im_k"] == pytest.approx(-1.0444 if g == "-1" else -1.0972, abs=1e-4)
+
+    @pytest.mark.parametrize("g, re, im, count", [
+        (100.0, (0.0, 300.0), (-3.0, 0.0), 95), (1e7, (0.0, 10.0), (-2.0, 0.0), 3),
+    ], ids=["g100-re300", "g1e7"])
+    def test_every_pole_in_the_rectangle_is_printed(self, capsys, g, re, im, count):
+        # the seed grid alone printed 59 and 0 pole(s), each with exit 0
+        argv = ["poles", f"--g={g!r}", "--a=1", f"--re={re[0]!r},{re[1]!r}",
+                f"--im={im[0]!r},{im[1]!r}", "--format=json"]
+        assert run(parse_args(argv)) == 0
+        got = [complex(p["re_k"], p["im_k"]) for p in json.loads(capsys.readouterr().out)["poles"]]
+        region = scattering.SearchRegion(*re, *im)
+        want = [complex(k) for k in mp_lambert_poles(g, 1.0, re[1]) if region.contains(complex(k))]
+        assert len(got) == len(want) == count
+        # json holds 12 significant digits of each part
+        assert all(abs(k.real - w.real) <= 6e-12 * abs(w.real)
+                   and abs(k.imag - w.imag) <= 6e-12 * abs(w.imag) for k, w in zip(got, want))
+
+    def test_seeds_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["poles", "--g", "100", "--a", "1", "--re", "2,4", "--im=-0.5,-1e-9",
+                        "--seeds", "12", "6"])
+        assert exc.value.code == 2
 
 
 class TestJsonOutput:
@@ -569,7 +668,7 @@ class TestJsonOutput:
 
     def test_poles_json_matches_library(self):
         result = invoke("poles", "--g", "100", "--a", "1", "--re", "2,4",
-                        "--im=-0.5,-1e-9", "--seeds", "16", "8", "--format", "json")
+                        "--im=-0.5,-1e-9", "--format", "json")
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert len(payload["poles"]) == 1
@@ -655,7 +754,7 @@ class TestExitCodes:
         },
         "poles": {
             "ok": ["poles", "--g", "100", "--a", "1", "--re", "2,4",
-                   "--im=-0.5,-1e-9", "--seeds", "12", "6"],
+                   "--im=-0.5,-1e-9"],
             "domain": ["poles", "--g", "100", "--a", "1", "--re", "2,4", "--im", "0.5,1"],
             "usage": ["poles", "--g", "100", "--re", "2,4", "--im=-1,-0.1"],
         },
@@ -717,7 +816,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_repeat_invocations_byte_identical(self, fmt):
         args = ["poles", "--g", "100", "--a", "1", "--re", "2,7", "--im=-0.5,-1e-9",
-                "--seeds", "16", "8", "--format", fmt]
+                "--format", fmt]
         first = invoke(*args)
         second = invoke(*args)
         assert first.returncode == second.returncode == 0
@@ -725,8 +824,7 @@ class TestDeterminism:
 
     def test_pipeline_poles_feed_evolve(self):
         poles = json.loads(invoke("poles", "--g", "100", "--a", "1", "--re", "2,4",
-                                  "--im=-0.5,-1e-9", "--seeds", "12", "6",
-                                  "--format", "json").stdout)
+                                  "--im=-0.5,-1e-9", "--format", "json").stdout)
         pole = poles["poles"][0]
         series = invoke("evolve", "--law", "d0", "--er", str(pole["e_r"]),
                         "--gamma", str(pole["gamma"]), "--t0", "0",

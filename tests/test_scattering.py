@@ -1,8 +1,11 @@
 """Delta-shell S-matrix, pole search, bound states, Breit-Wigner fits."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamow import scattering
 from gamow.scattering import (
@@ -150,6 +153,71 @@ class TestFindPoles:
             z = complex(pole.e_r, -0.5 * pole.gamma)
             assert abs(pole.k_pole**2 - z) <= 1e-10 * abs(z)
             assert pole.gamma > 0
+
+    @pytest.mark.parametrize("g, region, count", [
+        (100.0, SearchRegion(0.0, 300.0, -3.0, 0.0), 95),
+        (1e7, SearchRegion(0.0, 10.0, -2.0, 0.0), 3),
+    ], ids=["g100-re300", "g1e7"])
+    def test_rectangles_the_newton_grid_lost(self, g, region, count):
+        # the seed grid alone found 59 and 0 of them: from g a = 1e7 on, |D| at the float
+        # nearest each pole is above the residual test's 1e-10 of the term scale
+        got = [p.k_pole for p in find_poles(DeltaShellModel(g=g, a=1.0), region)]
+        want = [complex(k) for k in mp_lambert_poles(g, 1.0, region.re_max)
+                if region.contains(complex(k))]
+        assert len(got) == len(want) == count
+        assert all(abs(k - w) <= 1e-12 * abs(w) for k, w in zip(got, want))
+
+    @pytest.mark.parametrize("a, re_min, re_max, message", [
+        (1.0, 0.0, 1e6, "spans over 65536 resonance branches"),
+        (1e300, 0.0, 1e10, "spans over 65536 resonance branches"),
+        (1.0, 1e20, 1e20 + 1e5, "float64 cannot tell the resonance branches apart"),
+    ], ids=["over-the-cap", "overflowing-product", "past-float-resolution"])
+    def test_region_over_the_branch_cap_rejected_before_allocation(self, monkeypatch, a, re_min,
+                                                                  re_max, message):
+        # past the float resolution, branch indices beyond int64 once ended in a TypeError
+        def unreachable(*args, **kwargs):
+            raise AssertionError("branches or seeds allocated for an over-cap region")
+
+        monkeypatch.setattr(scattering, "_branch_poles", unreachable)
+        monkeypatch.setattr(scattering.np, "linspace", unreachable)
+        with pytest.raises(ValueError, match=message):
+            find_poles(DeltaShellModel(g=1.0, a=a), SearchRegion(re_min, re_max, -30.0, 0.0))
+
+
+# g a = +-[0.05, 1e8], a in [0.3, 3], and rectangles 10, 100 or 300 / a long in Re k
+# (starting up to half that far out) and up to 5 / a deep
+RECTANGLES = st.builds(
+    lambda log_ga, sign, a, size, start, length, depth: (
+        DeltaShellModel(g=sign * 10.0**log_ga / a, a=a),
+        SearchRegion(start * size / a, (start + length) * size / a, -depth / a, 0.0,
+                     n_re=24, n_im=12)),
+    st.floats(math.log10(0.05), 8.0), st.sampled_from([-1.0, 1.0]), st.floats(0.3, 3.0),
+    st.sampled_from([10.0, 100.0, 300.0]), st.floats(0.0, 0.5), st.floats(0.01, 1.0),
+    st.floats(0.1, 5.0))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(case=RECTANGLES)
+def test_poles_are_the_closed_form_set_with_the_newton_bits(case):
+    model, region = case
+    got = [p.k_pole for p in find_poles(model, region)]
+    want = [complex(k) for k in mp_lambert_poles(model.g, model.a, region.re_max)
+            if region.contains(complex(k))]
+    assert len(got) == len(want)
+    assert all(abs(k - w) <= 1e-12 * abs(w) for k, w in zip(got, want))
+    assert {p.k_pole for p in scalar_find_poles(model, region)} <= set(got)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(case=RECTANGLES)
+def test_abs_denominator_is_rounding_at_each_pole(case):
+    # the float nearest a zero leaves |D| of about eps |D'(k)| |k|; |D'| k reaches
+    # |k a| (1 + |g / k|), and max |D| / (eps (1 + |k a|)(1 + |g / k|)) was 1.9 over 400 draws
+    model, region = case
+    for pole in find_poles(model, region):
+        k = pole.k_pole
+        bound = 4 * np.finfo(float).eps * (1 + abs(k * model.a)) * (1 + abs(model.g / k))
+        assert abs(complex(denominator(model, k))) <= bound
 
 
 KGRID_STRIP = SearchRegion(0.0, 30.0, -0.06, -1e-14, n_re=96, n_im=12)
