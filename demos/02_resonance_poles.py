@@ -36,7 +36,7 @@ print(f"argument-principle count over the same rectangle: {count}")
 print("\nnear k = n pi the poles sharpen as g grows (ka -> n pi as g -> inf):")
 for g in (50.0, 200.0, 800.0):
     m = DeltaShellModel(g=g, a=1.0)
-    (p,) = find_poles(m, SearchRegion(2.5, 3.6, -0.3, 0.0, n_re=16, n_im=8))
+    (p,) = find_poles(m, SearchRegion(2.5, 3.6, -0.3, 0.0))
     print(f"  g = {g:5.0f}: k = {p.k_pole:.8f}   (pi - Re k) * g / pi = "
           f"{(np.pi - p.k_pole.real) * g / np.pi:.4f}")
 

@@ -53,7 +53,6 @@ from .scattering import (
     breit_wigner_fit,
     find_poles,
     fit_breit_wigner_curve,
-    phase_shift,
     phase_shift_curve,
     pole_count,
     s_matrix,

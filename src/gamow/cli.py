@@ -51,12 +51,11 @@ def _pair(text: str) -> tuple[float, float]:
     return _finite(parts[0]), _finite(parts[1])
 
 
-def _packet_spec(text: str) -> tuple[str, float, float]:
+def _packet_spec(text: str) -> tuple[float, float]:
     kind, _, rest = text.partition(":")
     if kind != "gaussian":
         raise argparse.ArgumentTypeError(f"unknown packet kind {kind!r}; expected gaussian:<center>,<width>")
-    center, width = _pair(rest)
-    return kind, center, width
+    return _pair(rest)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emin", type=_finite, default=None)
     p.add_argument("--emax", type=_finite, default=None)
     p.add_argument("--n", type=int, default=131072)
-    p.add_argument("--half-plane", choices=["upper", "lower", "both"], default="both",
-                   dest="half_plane")
     add_common(p)
 
     return parser
@@ -250,7 +247,7 @@ def _run_evolve(args) -> None:
 
 def _run_spectral(args) -> None:
     model = scattering.DeltaShellModel(g=args.g, a=args.a)
-    _, center, width = args.packet
+    center, width = args.packet
     # the grid, then the packet, are checked before anything of the grid's size allocates
     spectral._check_grid(model, args.kmax, args.nk, args.rmax, args.nr)
     packet = spectral.gaussian_packet(center, width, args.rmax, args.nr)
@@ -284,8 +281,7 @@ def _run_hardy(args) -> None:
     e_min = args.emin if args.emin is not None else e_r - 10000.0 * gamma
     e_max = args.emax if args.emax is not None else e_r + 10000.0 * gamma
     energies, samples = spectral.windowed_resonance_samples(e_r, gamma, e_min, e_max, args.n)
-    planes = ["upper", "lower"] if args.half_plane == "both" else [args.half_plane]
-    reports = [spectral.hardy_check(energies, samples, hp) for hp in planes]
+    reports = [spectral.hardy_check(energies, samples, hp) for hp in ("upper", "lower")]
     text = [f"pole at {_fmt(e_r)} - {_fmt(0.5 * gamma)}i, window [{_fmt(e_min)}, {_fmt(e_max)}], "
             f"n = {args.n}"]
     for rep in reports:

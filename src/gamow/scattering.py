@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -46,7 +47,6 @@ __all__ = [
     "PoleOnContourError",
     "ResonanceFitError",
     "s_matrix",
-    "phase_shift",
     "phase_shift_curve",
     "find_poles",
     "pole_count",
@@ -64,8 +64,6 @@ _NEWTON_STEP_SCALE = 1e-7
 _NEWTON_CONVERGED = 1e-12
 _MATCH_SEPARATION = 1e-6
 _RESIDUAL_FACTOR = 1e-10
-# Seeds per batched Newton pass; bounds the working arrays for any seed grid.
-_SEED_CHUNK = 4096
 
 # Halley iteration on the Lambert-W log form: from its seed it converges in at
 # most 3 steps over |g a| in [1e-8, 3e5] (405 seeded models, 63 branches each).
@@ -125,20 +123,18 @@ class ResonancePole:
 
 @dataclass(frozen=True)
 class SearchRegion:
-    """Rectangle in the complex k plane plus a seeding density for Newton."""
+    """Rectangle in the complex k plane; find_poles seeds Newton on its fixed n_re x n_im grid."""
 
     re_min: float
     re_max: float
     im_min: float
     im_max: float
-    n_re: int = 48
-    n_im: int = 24
+    n_re: ClassVar[int] = 48
+    n_im: ClassVar[int] = 24
 
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("search region must satisfy re_min < re_max and im_min < im_max")
-        if self.n_re < 2 or self.n_im < 2:
-            raise ValueError("seed grid needs at least 2 points per axis")
 
     @property
     def corners(self) -> tuple[complex, complex, complex, complex]:
@@ -212,14 +208,6 @@ def s_matrix(model: DeltaShellModel, k):
     out.imag = turn.real * num.imag + turn.imag * num.real
     out = out / den
     return complex(out) if out.ndim == 0 else out
-
-
-def phase_shift(model: DeltaShellModel, e: float) -> float:
-    """Principal-branch phase shift delta(E) in (-pi/2, pi/2], S = e^{2i delta}.
-
-    The one-point case of phase_shift_curve; defined for finite E > 0 only.
-    """
-    return float(phase_shift_curve(model, [e])[0])
 
 
 def _jost(model: DeltaShellModel, k):
@@ -316,10 +304,10 @@ def find_poles(model: DeltaShellModel, region: SearchRegion) -> list[ResonancePo
 
     They are the branches of _branch_poles in the open rectangle and within IM_KA_BOUND
     (every zero of D with Re k > 0 > Im k is one; k = 0 and the bound and virtual states
-    are none).  Their digits come from the n_re x n_im seeds, polished by one array Newton
-    iteration on D(k), _SEED_CHUNK at a time: a branch takes, of the endpoints inside,
-    within 1e-6 of it and with |D| below 1e-10 of the term scale, the first of least |D|
-    in row-major seed order, else keeps its own value.  A rectangle of more than
+    are none).  Their digits come from the fixed n_re x n_im seeds, polished by one array
+    Newton iteration on D(k): a branch takes, of the endpoints inside, within 1e-6 of it
+    and with |D| below 1e-10 of the term scale, the first of least |D| in row-major seed
+    order, else keeps its own value.  A rectangle of more than
     _MAX_BRANCHES branches (one per pi / a of Re k), or reaching a Re k / pi = 2^52, where
     float64 no longer resolves them, raises ValueError before allocating.
     """
@@ -338,10 +326,7 @@ def find_poles(model: DeltaShellModel, region: SearchRegion) -> list[ResonancePo
     grid.real = np.linspace(region.re_min, region.re_max, region.n_re)[:, None]
     grid.imag = np.linspace(region.im_min, region.im_max, region.n_im)[None, :]
     seeds = grid[np.hypot(grid.real, grid.imag) >= 1e-9]
-    ends = np.empty_like(seeds)
-    for i in range(0, seeds.size, _SEED_CHUNK):
-        ends[i:i + _SEED_CHUNK] = _newton_zeros(model, seeds[i:i + _SEED_CHUNK])
-    ends = inside(ends)
+    ends = inside(_newton_zeros(model, seeds))
     resid = np.abs(denominator(model, ends))
     # each endpoint against the nearer of the two branches beside it in Re k
     above = np.minimum(np.searchsorted(poles.real, ends.real), poles.size - 1)

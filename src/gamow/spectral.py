@@ -89,8 +89,8 @@ Work and memory are bounded by MAX_GRID_ELEMENTS = 2^27 float64 elements
 (1 GiB): an (n_k, n_r) grid above it, a continuum whose FFT, k nodes and
 lattice would need more (_check_grid), or n Hardy samples whose work arrays
 (_HARDY_WORK_ARRAYS of n elements) would exceed it, are rejected before
-anything of their size is allocated; the CLI charges its phase, evolve and
-poles grids the same way.
+anything of their size is allocated; the CLI charges its phase and evolve
+grids and its reps operators the same way.
 """
 
 from __future__ import annotations
@@ -260,8 +260,7 @@ class SpectralDecomposition:
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"Simpson weights need an odd number of points >= 3, got {n}")
+    """Composite Simpson weights on n points of spacing h; n odd and >= 3 (_check_grid)."""
     w = np.full(n, h / 3.0)
     w[1:-1:2] *= 4.0
     w[2:-1:2] *= 2.0
@@ -482,19 +481,22 @@ def _check_grid(model: DeltaShellModel, k_max: float, n_k: int, r_max: float, n_
     """Raise ValueError for grid arguments build_decomposition cannot take.
 
     Checked before anything of the grids' size is allocated: positive sizes
-    (n_k >= 8, n_r >= 3), n_k * n_r within MAX_GRID_ELEMENTS, r_max > 2a, and
-    the continuum's work within MAX_GRID_ELEMENTS too.  That work is measured
-    as the rise of peak RSS over builds and reconstructions: 10.0 to 11.2
-    float64 per point of the FFT (N about 2 n_r: its buffer, pocketfft's
-    scratch and the vectors on the r grid), charged _FFT_WORK_ARRAYS = 12;
-    the weights' taps plus 13 to 15 per k node, charged taps + 16; and 11.9
-    per lattice point the k grid reaches (k_max / dk of them, so k_max r_max
-    must be finite), charged that plus the _BLOCK_ROWS weights a block of k
-    rows may hold per point of its window.
+    (n_k >= 8, n_r >= 3), n_k * n_r within MAX_GRID_ELEMENTS, an odd n_r
+    (Simpson weights), r_max > 2a, and the continuum's work within
+    MAX_GRID_ELEMENTS too.  That work is measured as the rise of peak RSS
+    over builds and reconstructions: 10.0 to 11.2 float64 per point of the
+    FFT (N about 2 n_r: its buffer, pocketfft's scratch and the vectors on
+    the r grid), charged _FFT_WORK_ARRAYS = 12; the weights' taps plus 13 to
+    15 per k node, charged taps + 16; and 11.9 per lattice point the k grid
+    reaches (k_max / dk of them, so k_max r_max must be finite), charged that
+    plus the _BLOCK_ROWS weights a block of k rows may hold per point of its
+    window.
     """
     if k_max <= 0 or r_max <= 0 or n_k < 8 or n_r < 3:
         raise ValueError("grid parameters must be positive (n_k >= 8, n_r >= 3)")
     check_grid_budget(n_k, n_r)
+    if n_r % 2 == 0:
+        raise ValueError(f"n_r must be odd for the radial Simpson weights, got {n_r}")
     if r_max <= 2 * model.a:
         raise ValueError("r_max must exceed the shell radius comfortably (r_max > 2a)")
     try:
@@ -732,7 +734,7 @@ def hardy_check(energies, values, half_plane: str) -> HardyReport:
         np.copyto(work, f)
         work.setflags(write=False)
         _hardy_memo = (work, past, future, total)
-    leakage = float((past if half_plane == "upper" else future) / total)
+    leakage = float({"upper": past, "lower": future}[half_plane] / total)
     return HardyReport(half_plane=half_plane, leakage=leakage,
                        is_member=leakage < HARDY_LEAKAGE_THRESHOLD)
 

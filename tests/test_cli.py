@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import golden_values
 from oracles import mp_lambert_poles
@@ -76,6 +76,12 @@ class TestParsing:
                        + [f"{k}={v}" for k, v in argv.items()])
         assert exc.value.code == 2
         assert f"argument {flag}: number must be finite, got '{value}'" in capsys.readouterr().err
+
+    def test_hardy_half_plane_flag_is_gone(self):
+        # hardy always reports both half-planes
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["hardy", "--pole", "10,0.1", "--half-plane", "lower"])
+        assert exc.value.code == 2
 
     def test_domain_violation_parses_fine(self):
         # half-domain enforcement happens at execution time, not parse time
@@ -344,6 +350,32 @@ class TestErrorMessages:
         assert captured.err == ("error: region spans over 65536 resonance branches (each pi / a "
                                 "wide)\n")
 
+    def test_spectral_even_n_r_rejected_before_allocation(self, capsys, monkeypatch):
+        # the packet and the r grid were built before the Simpson weights refused n_r
+        def unreachable(*args, **kwargs):
+            raise AssertionError("packet or grid allocated with an even --nr")
+
+        monkeypatch.setattr(spectral, "gaussian_packet", unreachable)
+        monkeypatch.setattr(spectral.np, "linspace", unreachable)
+        assert run(parse_args(["spectral", "--g", "-5", "--a", "1", "--nr", "4000",
+                               "--packet", "gaussian:2,0.4"])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_r must be odd for the radial Simpson weights, got 4000\n"
+
+    # one past each cap is 1746 (row 1: 44 (2j + 1)^2 work entries) and 873 (rows 2-4, twice
+    # the dimension); -2^63, 2^62 and 10^30 probe the integer arithmetic of the checks
+    _TWICE_J = [0, 1, 2, 7, -1, -2**63, 1746, 873, 10**6, 2**62, 10**30]
+
+    @settings(max_examples=200, derandomize=True)
+    @given(row=st.integers(1, 4), twice_j=st.sampled_from(_TWICE_J),
+           fmt=st.sampled_from(["text", "json", "csv"]))
+    def test_reps_flags_exit_cleanly(self, row, twice_j, fmt):
+        # row 1 takes 873, which would print a matrix of 874 rows; the other draws that exit 0
+        # are small
+        assume(not (row == 1 and twice_j == 873))
+        self._exits_cleanly(["reps", f"--row={row}", f"--twice-j={twice_j}", f"--format={fmt}"])
+
     @pytest.mark.parametrize("argv, sha256", [
         (["phase", "--g", "100", "--a", "1", "--emin", "1e-320", "--emax", "1e308", "--n", "4"],
          "e935871a7d67f187f21bcc045af6b6afb24d606740a5788eb1963b2ffd9a36c7"),
@@ -574,6 +606,9 @@ class TestBenchContract:
             for name, measure in counters.items():
                 value = measure(args, result)
                 assert isinstance(value, numbers.Real) and value >= 0, name
+                if name == "scattering.find_poles.seeds":
+                    # the tracer reads SearchRegion's class constants: the fixed 48 x 24 grid
+                    assert value == 48 * 24
 
     def test_import_layer_reports_every_module(self, monkeypatch, tmp_path):
         # the traced run exits 1 when `import gamow` stops reporting a module it times

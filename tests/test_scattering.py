@@ -20,7 +20,6 @@ from gamow.scattering import (
     denominator,
     find_poles,
     fit_breit_wigner_curve,
-    phase_shift,
     phase_shift_curve,
     pole_count,
     s_matrix,
@@ -129,7 +128,7 @@ class TestFindPoles:
     def test_large_g_poles_approach_n_pi(self):
         for g in (100.0, 1000.0, 10000.0):
             model = DeltaShellModel(g=g, a=1.0)
-            poles = find_poles(model, SearchRegion(2.0, 4.0, -0.5, 0.0, n_re=24, n_im=12))
+            poles = find_poles(model, SearchRegion(2.0, 4.0, -0.5, 0.0))
             assert len(poles) == 1
             assert abs(poles[0].k_pole.real - np.pi) < 4.0 / g
             assert abs(poles[0].k_pole.imag) < 12.0 / g**2
@@ -141,8 +140,14 @@ class TestFindPoles:
             assert abs(pole.k_pole - z) <= 1e-8
 
     def test_empty_region_is_valid(self):
-        poles = find_poles(STRONG, SearchRegion(4.0, 5.0, -0.1, 0.0, n_re=12, n_im=6))
+        poles = find_poles(STRONG, SearchRegion(4.0, 5.0, -0.1, 0.0))
         assert poles == []
+
+    def test_seed_grid_is_fixed(self):
+        # the grid only sets each closed-form pole's last digits, so it is no setting
+        assert SearchRegion.n_re * SearchRegion.n_im == 1152
+        with pytest.raises(TypeError):
+            SearchRegion(0.0, 10.0, -2.0, 0.0, n_re=16)
 
     def test_region_must_be_fourth_quadrant(self):
         with pytest.raises(ValueError):
@@ -189,8 +194,7 @@ class TestFindPoles:
 RECTANGLES = st.builds(
     lambda log_ga, sign, a, size, start, length, depth: (
         DeltaShellModel(g=sign * 10.0**log_ga / a, a=a),
-        SearchRegion(start * size / a, (start + length) * size / a, -depth / a, 0.0,
-                     n_re=24, n_im=12)),
+        SearchRegion(start * size / a, (start + length) * size / a, -depth / a, 0.0)),
     st.floats(math.log10(0.05), 8.0), st.sampled_from([-1.0, 1.0]), st.floats(0.3, 3.0),
     st.sampled_from([10.0, 100.0, 300.0]), st.floats(0.0, 0.5), st.floats(0.01, 1.0),
     st.floats(0.1, 5.0))
@@ -220,18 +224,17 @@ def test_abs_denominator_is_rounding_at_each_pole(case):
         assert abs(complex(denominator(model, k))) <= bound
 
 
-KGRID_STRIP = SearchRegion(0.0, 30.0, -0.06, -1e-14, n_re=96, n_im=12)
+KGRID_STRIP = SearchRegion(0.0, 30.0, -0.06, -1e-14)
 IDENTITY_CASES = {
     "readme": (STRONG, ACCEPT_REGION),
-    "cli_2_4_16x8": (STRONG, SearchRegion(2.0, 4.0, -0.5, -1e-9, n_re=16, n_im=8)),
-    "cli_2_4_12x6": (STRONG, SearchRegion(2.0, 4.0, -0.5, -1e-9, n_re=12, n_im=6)),
-    "cli_2_7_16x8": (STRONG, SearchRegion(2.0, 7.0, -0.5, -1e-9, n_re=16, n_im=8)),
+    # named for the `gamow poles --re 2,4 --seeds 16 8` command it came from
+    "cli_2_4_16x8": (STRONG, SearchRegion(2.0, 4.0, -0.5, -1e-9)),
+    "cli_2_7": (STRONG, SearchRegion(2.0, 7.0, -0.5, -1e-9)),
     "kgrid_strong": (STRONG, KGRID_STRIP),
     "kgrid_attractive": (DeltaShellModel(g=-5.0, a=1.0), KGRID_STRIP),
     "kgrid_weak": (DeltaShellModel(g=2.0, a=1.5), KGRID_STRIP),
-    "im_ka_700": (DeltaShellModel(g=5.0, a=2.0), SearchRegion(0.0, 10.0, -350.0, 0.0, n_re=12, n_im=8)),
-    "im_ka_crossed": (DeltaShellModel(g=5.0, a=2.0),
-                      SearchRegion(0.0, 10.0, -400.0, 0.0, n_re=12, n_im=8)),
+    "im_ka_700": (DeltaShellModel(g=5.0, a=2.0), SearchRegion(0.0, 10.0, -350.0, 0.0)),
+    "im_ka_crossed": (DeltaShellModel(g=5.0, a=2.0), SearchRegion(0.0, 10.0, -400.0, 0.0)),
     "kgrid_1e4_1.2345": (DeltaShellModel(g=1e4, a=1.2345), KGRID_STRIP),
     "kgrid_third_1.5": (DeltaShellModel(g=100.0 / 3.0, a=1.5), KGRID_STRIP),
     "attractive": (DeltaShellModel(g=-5.0, a=1.0), ACCEPT_REGION),
@@ -260,13 +263,6 @@ class TestFindPolesBitIdentity:
         with np.errstate(all="ignore"):
             got = scattering._quotient(num, den)
         assert got.tolist() == [n / d for n, d in zip(num.tolist(), den.tolist())]
-
-    def test_seed_grid_larger_than_one_chunk(self, monkeypatch):
-        # 48 x 24 seeds in chunks of 100: twelve chunks, the last one partial
-        monkeypatch.setattr(scattering, "_SEED_CHUNK", 100)
-        got = [p.k_pole for p in find_poles(STRONG, ACCEPT_REGION)]
-        assert len(got) == 3
-        assert got == [p.k_pole for p in scalar_find_poles(STRONG, ACCEPT_REGION)]
 
 
 class TestBranchPoles:
@@ -349,7 +345,7 @@ def count_regions(seed, n_each):
         cases.append((m, SearchRegion(-x[0], x[1], kappa - x[2], kappa + x[3])))
     for _ in range(n_each):
         m = model(3.0, 100.0, 1.0)
-        poles = find_poles(m, SearchRegion(0.0, 10.0 / m.a, -2.0 / m.a, 0.0, n_re=24, n_im=12))
+        poles = find_poles(m, SearchRegion(0.0, 10.0 / m.a, -2.0 / m.a, 0.0))
         k = poles[rng.integers(len(poles))].k_pole
         gap = 10.0 ** rng.uniform(-9.0, -6.0) * rng.choice([-1.0, 1.0])  # > 0: pole inside
         side = abs(gap) * 10.0 ** rng.uniform(2.0, 4.0)
@@ -491,17 +487,17 @@ class TestPhaseShift:
     def test_free_limit_zero(self):
         model = DeltaShellModel(g=1e-13, a=1.0)
         for e in (0.5, 4.0, 25.0):
-            assert abs(phase_shift(model, e)) < 1e-10
+            assert abs(phase_shift_curve(model, [e])[0]) < 1e-10
 
     def test_requires_positive_energy(self):
         with pytest.raises(ValueError):
-            phase_shift(STRONG, 0.0)
+            phase_shift_curve(STRONG, [0.0])
         with pytest.raises(ValueError):
-            phase_shift(STRONG, -3.0)
+            phase_shift_curve(STRONG, [-3.0])
 
     def test_consistent_with_s_matrix(self):
         for e in (1.0, 9.0, 16.0):
-            delta = phase_shift(STRONG, e)
+            delta = phase_shift_curve(STRONG, [e])[0]
             s = s_matrix(STRONG, complex(np.sqrt(e)))
             assert abs(np.exp(2j * delta) - s) < 1e-12
 
@@ -526,9 +522,6 @@ class TestPhaseShift:
         monkeypatch.setattr(scattering, "denominator", unreachable)
         with pytest.raises(ValueError, match="finite E > 0"):
             phase_shift_curve(STRONG, energies)
-        if len(energies) == 1:
-            with pytest.raises(ValueError, match="finite E > 0"):
-                phase_shift(STRONG, energies[0])
 
 
 def _random_sweeps(seed, count):
@@ -566,8 +559,7 @@ class TestPhaseShiftArrayPath:
     def test_single_points_match_mp_reference(self):
         for model, energies in _random_sweeps(seed=6, count=200):
             e = float(energies[-1])
-            got = phase_shift(model, e)
-            assert type(got) is float
+            got = phase_shift_curve(model, [e])[0]
             (ref,) = mp_phase_shift_curve(model.g, model.a, [e])
             assert abs(got - ref) / (1 + abs(ref)) <= PHASE_REF_BOUND
 

@@ -154,7 +154,7 @@ class TestKGridPoles:
 
     def test_narrow_poles_match_newton_strip_search(self):
         cut = 4.0 * self.K_MAX / self.N_K
-        strip = scattering.SearchRegion(0.0, self.K_MAX, -cut, -1e-14, n_re=96, n_im=12)
+        strip = scattering.SearchRegion(0.0, self.K_MAX, -cut, -1e-14)
         with_narrow = 0
         for model in self.MODELS:
             got = self._narrow(spectral._branch_poles(model, self.K_MAX).tolist())
