@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -21,12 +23,12 @@ __all__ = ["parse_args", "run", "main"]
 
 # float64 arrays of the grid's size each subcommand holds per grid point: its
 # tracemalloc peak at 2^14 points (json output, the largest) plus one, rounded up
-_PHASE_WORK_ARRAYS = 134
-_EVOLVE_WORK_ARRAYS = 164
+_PHASE_WORK_ARRAYS = 39
+_EVOLVE_WORK_ARRAYS = 61
 # per entry of the row's largest operator: row one's json peak at twice_j = 100
-# (42.6; the doubled rows peak at 34.3, text at 5.0 and csv, which builds no
+# (8.7; the doubled rows peak at 4.5, text at 3.5 and csv, which builds no
 # dense matrix, at 0.2) plus one, rounded up
-_REPS_WORK_ARRAYS = 44
+_REPS_WORK_ARRAYS = 10
 
 
 def _fmt(x: float) -> str:
@@ -127,42 +129,41 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _emit(args, header, rows, text=(), data=None, key=None):
-    """Render only args.format; rows (lists of _fmt cells) is read once, so a lazy
-    source formats no cell for a format that was not asked for.
+    """Render only args.format, written as it is rendered; rows (lists of _fmt cells)
+    is read once, so a lazy source formats no cell for a format that was not asked for.
 
     csv is header and rows; json is data, with the rows as records under key when a
     key is given; text is the text lines, followed by the rows' table when a key is given.
     """
+    table = itertools.chain([header], rows)
     if args.format == "csv":
-        lines = [",".join(line) for line in [header, *rows]]
+        pieces = (",".join(line) + "\n" for line in table)
     elif args.format == "json":
         if key is not None:
             # cells are _fmt strings, so float() rounds to 12 digits
             data = {**data, key: [{name: float(cell) for name, cell in zip(header, row)}
                                   for row in rows]}
-        lines = [json.dumps(data, indent=2, sort_keys=True)]
+        # the chunks json.dumps would join, so the same bytes
+        pieces = itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(data), "\n")
     else:
-        lines = [*text, *(_table(header, rows) if key is not None else ())]
-    body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+        pieces = (line + "\n" for line in itertools.chain(text, _table(table) if key else ()))
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        while batch := "".join(itertools.islice(pieces, 4096)):  # no piece is empty
+            fh.write(batch)
 
 
-def _table(header, rows) -> list[str]:
+def _table(lines):
     """Text table lines: every cell right-aligned in a 16-character column."""
-    return ["  ".join(f"{cell:>16s}" for cell in line) for line in [header, *rows]]
+    return ("  ".join(f"{cell:>16s}" for cell in line) for line in lines)
 
 
-def _matrix_lines(name: str, op: reps.SymmetryOperator) -> list[str]:
+def _matrix_lines(name: str, op: reps.SymmetryOperator):
     """The operator's matrix, one line per row, spliced from its signed permutation:
     row i is zeros but for signs[i] in column cols[i], each cell 2 wide and 1 apart."""
     blank = " ".join([" 0"] * op.dim)
-    return [f"{name} ({'antilinear' if op.antilinear else 'linear'}):"] + [
+    return itertools.chain([f"{name} ({'antilinear' if op.antilinear else 'linear'}):"], (
         f"  [{blank[:3 * col]}{sign:2d}{blank[3 * col + 2:]}]"
-        for col, sign in zip(op.cols.tolist(), op.signs.tolist())]
+        for col, sign in zip(op.cols.tolist(), op.signs.tolist())))
 
 
 def _run_reps(args) -> None:
@@ -185,8 +186,7 @@ def _run_reps(args) -> None:
     # the matrices are rendered only for the format that prints them, and only json
     # builds them dense; csv prints none
     if args.format == "text":
-        for name, op in operators:
-            text += _matrix_lines(name, op)
+        text = itertools.chain(text, *(_matrix_lines(name, op) for name, op in operators))
     elif args.format == "json":
         json_obj.update((name.lower(), op.matrix.tolist()) for name, op in operators)
     rows = [[name, str(value)] for name, value in relations.items()]

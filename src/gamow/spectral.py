@@ -523,8 +523,9 @@ def build_decomposition(
 
     n_r must be odd (Simpson weights), and the grids within MAX_GRID_ELEMENTS
     (_check_grid, before the k grid or the continuum allocate).  Bound
-    eigenfunctions are normalized to unit quadrature norm; a bound state too
-    deep for that norm to be finite in float64 raises ValueError.  The
+    eigenfunctions are normalized to unit norm on [0, inf): the quadrature on
+    the r grid plus the closed-form tail u(r_max)^2 / (2 kappa); a bound state
+    too deep for that norm to be finite in float64 raises ValueError.  The
     continuum is held as its row factors and lattice weights
     (_continuum_factors), the shell's two regions apart.
     """
@@ -540,7 +541,7 @@ def build_decomposition(
         try:
             with np.errstate(over="raise", invalid="raise"):
                 u = np.concatenate([np.sinh(kappa * r[:n_in]), np.sinh(kappa * model.a) * outside])
-                u = u / np.sqrt(np.sum(wr * u * u))
+                u = u / np.sqrt(np.sum(wr * u * u) + u[-1] ** 2 / (2 * kappa))
         except FloatingPointError:
             raise ValueError(f"bound state at E = {energy:.12g} is too deep to normalize: its "
                              "eigenfunction's norm overflows float64 on the r grid") from None

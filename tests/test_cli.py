@@ -337,6 +337,35 @@ class TestErrorMessages:
                              f"--rmax={rmax!r}", "--nk=8", "--nr=5",
                              f"--packet=gaussian:{center!r},{width!r}"])
 
+    # the edge regimes of g a: the threshold -1, where the bound state appears, a vanishing
+    # coupling, and strong shells, whose poles lie near the real axis
+    _EDGE_GA = (st.sampled_from([-1.0 + d for d in (0.0, 1e-7, -1e-7, 1e-3, -1e-3)]
+                                + [5e-324, -5e-324, 1e-300, -1e-300])
+                | st.floats(1e4, 1e7))
+    _EDGE_A = st.sampled_from([1.0, 0.5, 1.2345])
+
+    @settings(max_examples=60, derandomize=True)
+    @given(ga=_EDGE_GA, a=_EDGE_A)
+    def test_spectral_edge_couplings_exit_cleanly(self, ga, a):
+        self._exits_cleanly(["spectral", f"--g={ga / a!r}", f"--a={a!r}", f"--kmax={30 / a!r}",
+                             f"--rmax={10 * a!r}", "--nk=200", "--nr=401",
+                             f"--packet=gaussian:{2 * a!r},{0.4 * a!r}"])
+
+    @settings(max_examples=60, derandomize=True)
+    @given(ga=_EDGE_GA, a=_EDGE_A)
+    def test_phase_edge_couplings_exit_cleanly(self, ga, a):
+        self._exits_cleanly(["phase", f"--g={ga / a!r}", f"--a={a!r}", f"--emin={1e-3 / a**2!r}",
+                             f"--emax={100 / a**2!r}", "--n=5"])
+
+    @settings(max_examples=80, derandomize=True)
+    @given(ga=_EDGE_GA, a=_EDGE_A,
+           depth=st.sampled_from([2.0] + [scattering.IM_KA_BOUND + d
+                                          for d in (-1.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 1.0)]))
+    def test_poles_edge_couplings_exit_cleanly(self, ga, a, depth):
+        # a depth |im_min| a of 2, or just under or over IM_KA_BOUND
+        self._exits_cleanly(["poles", f"--g={ga / a!r}", f"--a={a!r}", f"--re=0,{40 / a!r}",
+                             f"--im={-depth / a!r},0"])
+
     def test_poles_region_over_the_branch_cap_rejected_before_allocation(self, capsys,
                                                                         monkeypatch):
         def unreachable(*args, **kwargs):
@@ -363,17 +392,17 @@ class TestErrorMessages:
         assert captured.out == ""
         assert captured.err == "error: n_r must be odd for the radial Simpson weights, got 4000\n"
 
-    # one past each cap is 1746 (row 1: 44 (2j + 1)^2 work entries) and 873 (rows 2-4, twice
+    # one past each cap is 3663 (row 1: 10 (2j + 1)^2 work entries) and 1831 (rows 2-4, twice
     # the dimension); -2^63, 2^62 and 10^30 probe the integer arithmetic of the checks
-    _TWICE_J = [0, 1, 2, 7, -1, -2**63, 1746, 873, 10**6, 2**62, 10**30]
+    _TWICE_J = [0, 1, 2, 7, -1, -2**63, 3663, 1831, 10**6, 2**62, 10**30]
 
     @settings(max_examples=200, derandomize=True)
     @given(row=st.integers(1, 4), twice_j=st.sampled_from(_TWICE_J),
            fmt=st.sampled_from(["text", "json", "csv"]))
     def test_reps_flags_exit_cleanly(self, row, twice_j, fmt):
-        # row 1 takes 873, which would print a matrix of 874 rows; the other draws that exit 0
+        # row 1 takes 1831, which would print a matrix of 1832 rows; the other draws that exit 0
         # are small
-        assume(not (row == 1 and twice_j == 873))
+        assume(not (row == 1 and twice_j == 1831))
         self._exits_cleanly(["reps", f"--row={row}", f"--twice-j={twice_j}", f"--format={fmt}"])
 
     @pytest.mark.parametrize("argv, sha256", [
@@ -746,6 +775,19 @@ class TestCsvOutput:
         assert result.stdout == b""
         assert target.read_text().startswith("t,re_amp,im_amp,survival")
 
+    def test_reader_closing_early_exits_one_with_one_line(self):
+        # the output is written as it is rendered, so the writes after the reader has gone
+        # meet the closed pipe: run's OSError contract
+        proc = subprocess.Popen(BASE + ["phase", "--g", "100", "--a", "1", "--emin", "1",
+                                        "--emax", "30", "--n", "200000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"E,delta,sin2delta\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1
+        assert err == b"error: [Errno 32] Broken pipe\n"
+
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     def test_unwritable_out_is_an_error(self, capsys, tmp_path, target):
         out = tmp_path / "missing" / "x" if target == "missing-directory" else tmp_path
@@ -773,7 +815,8 @@ class TestOnlyTheRequestedFormat:
         if fmt != "text":
             monkeypatch.setattr(cli, "_table", unreachable)
         if fmt != "json":
-            monkeypatch.setattr(cli.json, "dumps", unreachable)
+            # json.dumps encodes through iterencode too, so either way of rendering json fails
+            monkeypatch.setattr(cli.json.JSONEncoder, "iterencode", unreachable)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert run(parse_args(self.ARGV[path] + ["--format", fmt])) == 0

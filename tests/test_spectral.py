@@ -72,6 +72,18 @@ class TestDecomposition:
         norm = np.sum(attractive_decomp.r_weights * u * u)
         assert abs(norm - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("g", [-1.0 - 1e-7, -1.001, -5.0])
+    def test_bound_function_normalized_on_the_half_line(self, g):
+        # near threshold kappa is small and nearly all of the norm lies beyond r_max
+        decomp = build_decomposition(DeltaShellModel(g=g, a=1.0), 30.0, 32, R_MAX, N_R)
+        (energy, u), = decomp.discrete
+        with mpmath.workdps(40):
+            kappa, a = mpmath.sqrt(-mpmath.mpf(energy)), mpmath.mpf(1)
+            norm = (mpmath.sinh(2 * kappa * a) / (4 * kappa) - a / 2
+                    + mpmath.sinh(kappa * a) ** 2 / (2 * kappa))
+            tail = mpmath.sinh(kappa * a) * mpmath.exp(-kappa * (R_MAX - a)) / mpmath.sqrt(norm)
+        assert u[-1] == pytest.approx(float(tail), rel=1e-7)
+
     def test_weights_positive_grids_increasing(self, strong_decomp):
         assert np.all(strong_decomp.k_weights > 0)
         assert np.all(np.diff(strong_decomp.k) > 0)
@@ -843,6 +855,15 @@ class TestReconstruction:
         _, u = attractive_decomp.discrete[0]
         packet = WavePacket(u, R_MAX, N_R)
         assert reconstruct_error(attractive_decomp, packet) <= 1e-6
+
+    def test_bound_state_at_threshold_adds_nothing(self):
+        # just below g a = -1 the bound state is nearly all tail beyond r_max, so its term
+        # adds almost nothing to the packet on the grid
+        packet = gaussian_packet(2.0, 0.4, R_MAX, N_R)
+        errors = [reconstruct_error(build_decomposition(DeltaShellModel(g=g, a=1.0), 30.0, 2000,
+                                                        R_MAX, N_R), packet)
+                  for g in (-1.0, -1.0 - 1e-7)]
+        assert abs(errors[1] - errors[0]) <= 1e-4
 
     def test_gaussian_reconstruction_strong_model(self, strong_decomp):
         packet = gaussian_packet(2.0, 0.3, R_MAX, N_R)
