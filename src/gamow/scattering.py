@@ -216,13 +216,13 @@ def _jost(model: DeltaShellModel, k):
 
 
 def phase_shift_curve(model: DeltaShellModel, energies) -> np.ndarray:
-    """delta(E) on a grid of finite positive energies, unwrapped to be continuous.
+    """delta(E) on a grid of finite positive energies, continuous in E on any grid.
 
-    arg _jost(sqrt(E)) mod pi is the principal branch 0.5 arg S at every
-    point; each step then moves to the multiple of pi nearest the previous
-    value (a cumulative sum of rounded jumps).  Precondition: adjacent samples
-    must be closer together than the narrowest resonance they cross.  A
-    coarser grid can step over a resonance's rise by pi and silently lose it.
+    For k > 0, _jost(k) = conj F(k) with F = 1 + (g/k) sin ka e^{ika}, whose
+    imaginary part (g/k) sin^2 ka keeps the sign of g, and F = 1 where it is
+    real.  So arg _jost(sqrt(E)) never meets the cut of np.angle: it is the
+    phase shift, each resonance's rise by pi included however narrow, shifted
+    by the multiple of pi that puts the first sample within pi/2 of 0.
     Raises ValueError where k a or (g/k) sin ka overflows float64.
     """
     e = np.asarray(energies, dtype=float)
@@ -236,10 +236,7 @@ def phase_shift_curve(model: DeltaShellModel, energies) -> np.ndarray:
             theta = np.angle(_jost(model, np.sqrt(e)))
     except FloatingPointError:
         raise ValueError(f"k a or (g/k) sin ka overflows on E in [{e[0]:g}, {e[-1]:g}]") from None
-    raw = theta - np.pi * np.round(theta / np.pi)
-    out = raw.copy()
-    out[1:] += np.pi * np.cumsum(np.round((raw[:-1] - raw[1:]) / np.pi))
-    return out
+    return theta - np.pi * np.round(theta[0] / np.pi)
 
 
 def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -179,26 +179,22 @@ def resonant_state_amplitude(g, a, center, width, re_max, times):
 
 
 def mp_phase_shift_curve(g, a, energies):
-    """delta(E) at 50 digits from the textbook S-matrix, unwrapped like the library's curve.
+    """delta(E) at 50 digits in closed form, anchored at the first energy.
 
-    S(k) = e^{-2ika} (e^{ika} + (g/k) sin ka) / (e^{-ika} + (g/k) sin ka) at
-    k = sqrt(E), each float input taken exactly; the principal branch is
-    0.5 arg S in (-pi/2, pi/2], and each point then moves to the multiple of
-    pi nearest the previous value.  Returns a list of mpf.
+    delta = -arg(1 + (g/k) sin ka e^{ika}) at k = sqrt(E), each float input
+    taken exactly: S = e^{2i delta}, and the argument never reaches +-pi for
+    k > 0, since the imaginary part (g/k) sin^2 ka keeps the sign of g and the
+    value is 1 where it vanishes.  The whole curve is shifted by the multiple
+    of pi nearest its first value.  Returns a list of mpf.
     """
     with mpmath.workdps(50):
         g, a = mpmath.mpf(g), mpmath.mpf(a)
         out = []
         for e in energies:
             k = mpmath.sqrt(mpmath.mpf(float(e)))
-            gs = g / k * mpmath.sin(k * a)
-            ika = mpmath.mpc(0, 1) * k * a
-            s = mpmath.exp(-2 * ika) * (mpmath.exp(ika) + gs) / (mpmath.exp(-ika) + gs)
-            d = mpmath.arg(s) / 2
-            if out:
-                d += mpmath.pi * mpmath.nint((out[-1] - d) / mpmath.pi)
-            out.append(d)
-    return out
+            out.append(-mpmath.arg(1 + g / k * mpmath.sin(k * a) * mpmath.exp(mpmath.mpc(0, k * a))))
+        turn = mpmath.pi * mpmath.nint(out[0] / mpmath.pi)
+        return [d - turn for d in out]
 
 
 def mp_bound_energy(g, a):

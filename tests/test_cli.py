@@ -890,6 +890,55 @@ class TestExitCodes:
         assert b"usage" in result.stderr.lower()
 
 
+def _relative_error_at_most(bound):
+    return lambda out: float(out.split("reconstruction error = ")[1]) <= bound
+
+
+def _upper_member_only(out):
+    upper, lower = (line for line in out.splitlines() if "half-plane" in line)
+    return upper.endswith("member = True") and lower.endswith("member = False")
+
+
+def _known_wrong(item, prints):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"exits 0 with a wrong answer (ROADMAP item {item}): {prints}")
+
+
+class TestKnownWrongAnswers:
+    """Invocations that exit 0 with a wrong answer, one strict xfail each, naming the ROADMAP
+    item that mends it.  The right outcome is exit 1 with one ``error:`` line, or where a
+    right value exists, stdout that holds it; a mend flips its entry."""
+
+    @pytest.mark.parametrize("argv, right", [
+        # the g a = 1e3 models print 0.0103 (a = 1) and 0.0397 (a = 1.2345)
+        pytest.param(["spectral", "--g", "1e4", "--a", "1.2345", "--packet", "gaussian:2,0.4"],
+                     _relative_error_at_most(0.1), id="spectral-narrow-1e4",
+                     marks=_known_wrong(9, "relative L2 reconstruction error = 1.94821212831")),
+        pytest.param(["spectral", "--g", "1e6", "--a", "1", "--packet", "gaussian:2,0.4"],
+                     _relative_error_at_most(0.1), id="spectral-narrow-1e6",
+                     marks=_known_wrong(9, "relative L2 reconstruction error = 2594.61256156")),
+        # the default n (ΔE = 0.153 Γ) prints upper leakage 7.04e-5, member = True;
+        # the alias-free value at this window is 7.6e-5
+        pytest.param(["hardy", "--pole", "10,0.1", "--n", "16384"], _upper_member_only,
+                     id="hardy-aliased",
+                     marks=_known_wrong(10, "ΔE = 1.22 Γ aliases the tail: member = False on "
+                                            "both planes")),
+        # a lower-plane pole is a member at 1e-4 only in windows wider than about 1.46e4 Γ
+        pytest.param(["hardy", "--pole", "10,0.1", "--emin", "9.9", "--emax", "10.1"], None,
+                     id="hardy-window-below-floor",
+                     marks=_known_wrong(10, "a 2 Γ window: leakages 0.337 and 0.663, "
+                                            "member = False on both planes")),
+    ])
+    def test_right_outcome(self, capsys, argv, right):
+        code = run(parse_args(argv))
+        captured = capsys.readouterr()
+        if right is None or code != 0:
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        else:
+            assert captured.err == "" and right(captured.out)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_repeat_invocations_byte_identical(self, fmt):
@@ -954,6 +1003,16 @@ class TestGoldenOutput:
                              ids=lambda case: "row{}-2j{}-{}".format(*case["argv"][2::2]))
     def test_reps_sweep_matches_golden_hash(self, case):
         assert _stdout_sha256(case["argv"]) == case["sha256"]
+
+    def test_bench_golden_agrees_on_every_shared_argv(self):
+        # the benchmark's cli workload checks its own copy of these hashes
+        bench = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+        ours = {tuple(case["argv"]): case["sha256"]
+                for group in (GOLDEN, GOLDEN["formats"], GOLDEN["sweeps"], GOLDEN["reps_sweep"])
+                for case in group["invocations"]}
+        shared = [(case["argv"], case["sha256"], ours[tuple(case["argv"])])
+                  for case in bench["invocations"] if tuple(case["argv"]) in ours]
+        assert shared and all(theirs == mine for _, theirs, mine in shared), shared
 
     def test_every_subcommand_pins_every_format(self):
         pinned = {(args.subcommand, args.format)

@@ -5,18 +5,21 @@ unitarity and S(k) S(-k) = 1 on the real axis, the two Hardy leakages of f and
 conj(f), time reversal as an involution that reads a law backwards, the
 semigroup law of each evolution law on its half-line, every pole the Newton
 search finds being a closed-form Lambert branch, the bound state existing
-exactly above threshold and solving its own equation, and the linearity of
-the spectral reconstruction.
+exactly above threshold and solving its own equation, Levinson's theorem for
+the phase shift, and the linearity of the spectral reconstruction.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import bound_state_count_scan
 
 from gamow.dynamics import GamowState, Kind, Law, amplitude, semigroup_compose_check, time_reverse
 from gamow.scattering import (DeltaShellModel, ResonancePole, SearchRegion, _branch_poles,
-                              bound_states, find_poles, s_matrix)
+                              bound_states, find_poles, phase_shift_curve, s_matrix)
 from gamow.spectral import (WavePacket, build_decomposition, gaussian_packet, hardy_check,
                             reconstruct, windowed_resonance_samples)
 
@@ -83,6 +86,32 @@ def test_one_bound_state_exactly_above_threshold_solving_its_equation(g, a):
     for energy in states:
         x = 2.0 * math.sqrt(-energy) * a
         assert abs(x + s * math.expm1(-x)) <= 4 * np.finfo(float).eps * s
+
+
+def _levinson_span(g, a):
+    """delta(E_lo) - delta(E_hi) on the two-point grid k a = 1e-9, k = 1e4 max(|g|, 1/a),
+    where delta is within about 1e-4 of its limits at 0+ and at infinity."""
+    delta = phase_shift_curve(DeltaShellModel(g=g, a=a),
+                              [(1e-9 / a) ** 2, max(1e4 * abs(g), 1e4 / a) ** 2])
+    return float(delta[0] - delta[1])
+
+
+@settings(max_examples=300)
+@given(ga=st.builds(lambda sign, power: sign * 10.0 ** power, st.sampled_from([-1.0, 1.0]),
+                    st.floats(-3.0, 3.0)), a=st.floats(0.2, 3.0))
+def test_levinson_phase_span_counts_the_bound_states(ga, a):
+    # delta(0+) - delta(inf) = pi N_b; within 1e-5 of threshold the scattering length
+    # a g a / (1 + g a) is so long that k a = 1e-9 is not yet the 0+ limit
+    assume(abs(1.0 + ga) > 1e-5)
+    g = ga / a
+    assert abs(_levinson_span(g, a) - math.pi * bound_state_count_scan(g, a)) <= 1e-3
+
+
+@pytest.mark.parametrize("a", [0.25, 1.0, 2.0])
+def test_levinson_phase_span_at_threshold_is_half_pi(a):
+    # g a = -1 exactly, the s-wave zero-energy resonance
+    assert -1.0 / a * a == -1.0
+    assert abs(_levinson_span(-1.0 / a, a) - math.pi / 2) <= 1e-3
 
 
 # g a within +-150 keeps the bound state normalisable on the r_max = 10 grid
